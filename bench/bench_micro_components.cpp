@@ -489,83 +489,6 @@ BM_ConvergedForensicsSnapshot(benchmark::State &state)
 BENCHMARK(BM_ConvergedForensicsSnapshot)->Arg(1)->Arg(2)->Arg(4);
 
 // ---------------------------------------------------------------------
-// Guest tick batches: one full epoch tick of a 16-VM DayTrader host —
-// the per-VM stage phase (guest-local mutator work into write-intent
-// logs) fanned out at 1/2/4 threads, with the serial commit replay in
-// canonical VM order. A fresh scenario is built per width with the
-// same seed and the iteration count is pinned, so every width times
-// the byte-identical simulated epoch range — per-epoch cost varies
-// with sim phase (GC and KSM cycles), and letting the framework pick
-// iteration counts would time different epochs at different widths.
-// ---------------------------------------------------------------------
-
-core::Scenario &
-guestTickScenario(unsigned width)
-{
-    static std::unique_ptr<core::Scenario> scenario;
-    static unsigned current_width = 0;
-    if (!scenario || current_width != width) {
-        scenario.reset(); // one live 16-VM host at a time
-        setVerbose(false);
-        core::ScenarioConfig cfg;
-        cfg.host.ramBytes = 40ULL * GiB; // never host-pages
-        cfg.guestThreads = width;
-        std::vector<workload::WorkloadSpec> vms(
-            16, workload::dayTraderIntel());
-        // Double the guests' memory so the free-frame headroom stays
-        // far above the per-epoch demand bound: every timed epoch
-        // stages (sim.stage_fallbacks stays 0) and the bench isolates
-        // the stage/commit split itself.
-        for (auto &vm : vms)
-            vm.guestMemBytes = 2ULL * GiB;
-        scenario = std::make_unique<core::Scenario>(cfg, vms);
-        scenario->build();
-        // Warm up past lazy class loading, JIT compilation and the
-        // first-touch allocation transient so the timed epochs do
-        // steady-state request work.
-        scenario->runFor(25 * cfg.epochMs);
-        current_width = width;
-    }
-    return *scenario;
-}
-
-void
-guestTickBatch(benchmark::State &state, unsigned width)
-{
-    core::Scenario &scenario = guestTickScenario(width);
-    const Tick epoch_ms = core::ScenarioConfig{}.epochMs;
-    const std::uint64_t fallbacks_before =
-        scenario.stats().get("sim.stage_fallbacks");
-    for (auto _ : state)
-        scenario.runFor(epoch_ms);
-    if (scenario.stats().get("sim.stage_fallbacks") != fallbacks_before)
-        state.SkipWithError("stage fallbacks during timed epochs");
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) * 16);
-}
-
-void
-BM_GuestTickBatchSerial(benchmark::State &state)
-{
-    guestTickBatch(state, 1);
-}
-BENCHMARK(BM_GuestTickBatchSerial)->Iterations(32);
-
-void
-BM_GuestTickBatchParallel2(benchmark::State &state)
-{
-    guestTickBatch(state, 2);
-}
-BENCHMARK(BM_GuestTickBatchParallel2)->Iterations(32);
-
-void
-BM_GuestTickBatchParallel4(benchmark::State &state)
-{
-    guestTickBatch(state, 4);
-}
-BENCHMARK(BM_GuestTickBatchParallel4)->Iterations(32);
-
-// ---------------------------------------------------------------------
 // PML dirty-log scanning (ISSUE 7): a 1M-page host converged under
 // KSM, with 1% of the pages dirtied between passes. The log-driven
 // pass drains the per-VM PML rings and visits only the dirty set; the
@@ -823,24 +746,6 @@ main(int argc, char **argv)
         json.summaryField("forensics_snapshot_ns_1t", fx1);
         json.summaryField("forensics_snapshot_ns_4t", fx4);
         json.summaryField("forensics_snapshot_speedup_4t", fx1 / fx4);
-    }
-    const double gts =
-        reporter.realTimeNs("BM_GuestTickBatchSerial/iterations:32");
-    const double gt2 =
-        reporter.realTimeNs("BM_GuestTickBatchParallel2/iterations:32");
-    const double gt4 =
-        reporter.realTimeNs("BM_GuestTickBatchParallel4/iterations:32");
-    if (gts > 0)
-        json.summaryField("guest_tick_ns_serial", gts);
-    if (gt2 > 0)
-        json.summaryField("guest_tick_ns_parallel2", gt2);
-    if (gt4 > 0)
-        json.summaryField("guest_tick_ns_parallel4", gt4);
-    if (gts > 0 && gt4 > 0) {
-        // Wall-clock speedup of the 4-thread stage phase over the
-        // staged-inline serial drain; < the core count because the
-        // commit replay stays serial (docs/PERF.md).
-        json.summaryField("guest_tick_parallel4_speedup", gts / gt4);
     }
     const double pml_walk =
         reporter.realTimeNs("BM_PmlScanPassWalkReference/iterations:16");

@@ -30,83 +30,6 @@ GuestOs::guestPages() const
     return hv_.vm(vm_id_).ept.size();
 }
 
-void
-GuestOs::beginStaging(hv::WriteIntentLog *log)
-{
-    jtps_assert(log != nullptr && stage_log_ == nullptr);
-    stage_log_ = log;
-}
-
-void
-GuestOs::endStaging()
-{
-    jtps_assert(stage_log_ != nullptr);
-    stage_log_ = nullptr;
-}
-
-void
-GuestOs::hvWriteWord(Gfn gfn, unsigned sector, std::uint64_t value)
-{
-    if (stage_log_)
-        stage_log_->writeWord(gfn, sector, value);
-    else
-        hv_.writeWord(vm_id_, gfn, sector, value);
-}
-
-void
-GuestOs::hvWritePage(Gfn gfn, const mem::PageData &data)
-{
-    if (stage_log_)
-        stage_log_->writePage(gfn, data);
-    else
-        hv_.writePage(vm_id_, gfn, data);
-}
-
-void
-GuestOs::hvTouchPage(Gfn gfn)
-{
-    if (stage_log_)
-        stage_log_->touchPage(gfn);
-    else
-        hv_.touchPage(vm_id_, gfn);
-}
-
-void
-GuestOs::hvDiscardPage(Gfn gfn)
-{
-    if (stage_log_)
-        stage_log_->discardPage(gfn);
-    else
-        hv_.discardPage(vm_id_, gfn);
-}
-
-void
-GuestOs::hvSetHugePage(Gfn gfn, bool huge)
-{
-    if (stage_log_)
-        stage_log_->setHugePage(gfn, huge);
-    else
-        hv_.setHugePage(vm_id_, gfn, huge);
-}
-
-void
-GuestOs::traceRecord(TraceEventType type, std::uint64_t arg0,
-                     std::uint64_t arg1)
-{
-    TraceBuffer *t = hv_.trace();
-    if (stage_log_) {
-        // Log an intent only if it would record: the replay-side
-        // record() call re-checks, but a disabled buffer must not
-        // cost log slots (and intent counters must not depend on it
-        // either way — they count hypervisor calls, and Trace intents
-        // are only appended when tracing is live in both modes).
-        if (t && t->enabled())
-            stage_log_->trace(type, arg0, arg1);
-    } else if (t) {
-        t->record(type, vm_id_, arg0, arg1);
-    }
-}
-
 Gfn
 GuestOs::allocGfn()
 {
@@ -204,15 +127,6 @@ GuestOs::reclaimOneGuestPage()
 bool
 GuestOs::swapOutOneAnonPage()
 {
-    if (staging()) {
-        // A guest swap-out must read the page's host-resident content
-        // (peek), which the commit phase may still change — the
-        // stageability predicate is sized so staged work never gets
-        // here.
-        panic("guest '%s': anonymous swap-out during the stage phase "
-              "(stageability predicate violated)",
-              name_.c_str());
-    }
     if (guest_swapped_ >= guest_swap_limit_pages_)
         return false;
 
@@ -468,12 +382,6 @@ GuestOs::readWord(const Vma *vma, std::uint64_t index, unsigned sector)
         !proc.pageTable.count(vma->vpnAt(index)) &&
         !proc.swappedOut.count(vma->vpnAt(index))) {
         return 0; // untouched anonymous memory reads as zero
-    }
-    if (staging()) {
-        // A host read cannot be reordered past other VMs' pending
-        // commits; no guest model reads on the epoch path today.
-        panic("guest '%s': readWord during the stage phase",
-              name_.c_str());
     }
     return hv_.readWord(vm_id_, ensureMapped(vma, index), sector);
 }

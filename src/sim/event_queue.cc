@@ -1,34 +1,19 @@
 #include "sim/event_queue.hh"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 #include "base/logging.hh"
-#include "base/thread_pool.hh"
 
 namespace jtps::sim
 {
 
-EventQueue::EventQueue() = default;
-EventQueue::~EventQueue() = default;
-
-void
-EventQueue::push(Item item)
-{
-    heap_.push_back(std::move(item));
-    std::push_heap(heap_.begin(), heap_.end(), later);
-}
-
 void
 EventQueue::scheduleAt(Tick when, EventFn fn)
 {
-    if (stage_active_) {
-        panic("scheduleAt during the parallel stage phase: stage "
-              "callbacks must be owner-local; schedule from commit");
-    }
     jtps_assert(when >= now_);
-    push(Item{when, next_seq_++, noOwner, std::move(fn), {}, {}});
+    heap_.push_back(Item{when, next_seq_++, std::move(fn)});
+    std::push_heap(heap_.begin(), heap_.end(), later);
 }
 
 void
@@ -37,62 +22,41 @@ EventQueue::scheduleAfter(Tick delay, EventFn fn)
     scheduleAt(now_ + delay, std::move(fn));
 }
 
-void
-EventQueue::scheduleOwnedAt(Tick when, std::uint64_t owner,
-                            StageFn stage, CommitFn commit)
-{
-    if (stage_active_) {
-        panic("scheduleOwnedAt during the parallel stage phase: stage "
-              "callbacks must be owner-local; schedule from commit");
-    }
-    jtps_assert(when >= now_);
-    jtps_assert(owner != noOwner);
-    jtps_assert(stage && commit);
-    push(Item{when, next_seq_++, owner, {}, std::move(stage),
-              std::move(commit)});
-}
-
-void
+PeriodicId
 EventQueue::schedulePeriodic(Tick period, std::function<bool()> fn)
 {
     jtps_assert(period > 0);
-    // Self-rescheduling wrapper; capture by value so the shared state
-    // lives as long as the chain of events does.
-    auto wrapper = std::make_shared<std::function<void()>>();
-    auto callback = std::move(fn);
-    *wrapper = [this, period, callback, wrapper]() {
-        if (callback())
-            scheduleAfter(period, *wrapper);
-    };
-    scheduleAfter(period, *wrapper);
+    const PeriodicId id = next_periodic_++;
+    periodic_.emplace(id, Periodic{period, std::move(fn)});
+    scheduleAfter(period, [this, id]() { wakePeriodic(id); });
+    return id;
 }
 
 void
-EventQueue::setStageThreads(unsigned threads)
+EventQueue::wakePeriodic(PeriodicId id)
 {
-    jtps_assert(!stage_active_);
-    stage_threads_ = threads;
-    if (threads > 1) {
-        if (!pool_ || pool_->size() != threads)
-            pool_ = std::make_unique<ThreadPool>(threads);
-    } else {
-        pool_.reset();
+    auto it = periodic_.find(id);
+    if (it == periodic_.end())
+        return; // cancelled or cleared since this wake was queued
+    // Hold the callback outside the record while it runs: it may
+    // cancel its own chain, clear the queue or start new chains.
+    std::function<bool()> fn = std::move(it->second.fn);
+    const bool again = fn();
+    it = periodic_.find(id);
+    if (it == periodic_.end())
+        return;
+    if (!again) {
+        periodic_.erase(it);
+        return;
     }
+    it->second.fn = std::move(fn);
+    scheduleAfter(it->second.period, [this, id]() { wakePeriodic(id); });
 }
 
-std::size_t
-EventQueue::pending() const
+void
+EventQueue::cancelPeriodic(PeriodicId id)
 {
-    return heap_.size();
-}
-
-EventQueue::Item
-EventQueue::popFront()
-{
-    std::pop_heap(heap_.begin(), heap_.end(), later);
-    Item item = std::move(heap_.back());
-    heap_.pop_back();
-    return item;
+    periodic_.erase(id);
 }
 
 void
@@ -101,84 +65,11 @@ EventQueue::runOne()
     jtps_assert(heap_.front().when >= now_);
     // Detach the event before running it: the callback may schedule
     // (growing the heap) or clear() it.
-    Item item = popFront();
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    Item item = std::move(heap_.back());
+    heap_.pop_back();
     now_ = item.when;
-    if (item.owner == noOwner) {
-        item.fn();
-        return;
-    }
-    runOwnedBatch(std::move(item));
-}
-
-void
-EventQueue::runOwnedBatch(Item first)
-{
-    // Collect the maximal run of consecutive same-tick owned events.
-    // An unowned event in between ends the batch, keeping the strict
-    // (when, seq) serial order relative to everything unowned.
-    std::vector<Item> batch;
-    batch.push_back(std::move(first));
-    while (!heap_.empty() && heap_.front().when == now_ &&
-           heap_.front().owner != noOwner) {
-        batch.push_back(popFront());
-    }
-
-    // Group by owner: ascending owner key, insertion order within an
-    // owner (the batch is already seq-ascending). Groups hold indexes
-    // into batch.
-    std::vector<std::size_t> order(batch.size());
-    for (std::size_t i = 0; i < order.size(); ++i)
-        order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [&batch](std::size_t a, std::size_t b) {
-                         return batch[a].owner < batch[b].owner;
-                     });
-    std::vector<std::pair<std::size_t, std::size_t>> groups;
-    for (std::size_t i = 0; i < order.size();) {
-        std::size_t j = i + 1;
-        while (j < order.size() &&
-               batch[order[j]].owner == batch[order[i]].owner) {
-            ++j;
-        }
-        groups.emplace_back(i, j);
-        i = j;
-    }
-
-    // Stage phase: each owner's stages run in order; distinct owners
-    // run concurrently when a pool is configured. Stage callbacks
-    // only touch owner-local state, so the flags vector (disjoint
-    // slots) is the only shared write target.
-    std::vector<char> staged(batch.size(), 0);
-    auto stageGroup = [&batch, &order, &staged](std::size_t lo,
-                                                std::size_t hi) {
-        for (std::size_t k = lo; k < hi; ++k) {
-            const std::size_t idx = order[k];
-            staged[idx] = batch[idx].stage() ? 1 : 0;
-        }
-    };
-    if (pool_ && groups.size() > 1) {
-        stage_active_ = true;
-        for (const auto &[lo, hi] : groups)
-            pool_->submit([&stageGroup, lo = lo, hi = hi]() {
-                stageGroup(lo, hi);
-            });
-        pool_->wait();
-        stage_active_ = false;
-    } else {
-        stage_active_ = true;
-        for (const auto &[lo, hi] : groups)
-            stageGroup(lo, hi);
-        stage_active_ = false;
-    }
-
-    // Commit phase: serial, ascending owner, insertion order within.
-    // Commits may schedule (self-rescheduling epochs do).
-    for (const auto &[lo, hi] : groups) {
-        for (std::size_t k = lo; k < hi; ++k) {
-            const std::size_t idx = order[k];
-            batch[idx].commit(staged[idx] != 0);
-        }
-    }
+    item.fn();
 }
 
 void
@@ -201,6 +92,7 @@ void
 EventQueue::clear()
 {
     heap_.clear();
+    periodic_.clear();
 }
 
 } // namespace jtps::sim

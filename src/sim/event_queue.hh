@@ -9,18 +9,6 @@
  * scenario is fully deterministic. An event that schedules at now()
  * while the tick is draining runs later in the same tick, still in
  * insertion order.
- *
- * Owned events (scheduleOwnedAt) additionally carry an owner key — in
- * practice a VmId — and split into a *stage* callback and a *commit*
- * callback. When the queue reaches a run of consecutive same-tick
- * owned events it drains them in two phases: all stage callbacks run
- * first, grouped by owner and (above one stage thread) concurrently
- * on a thread pool; then every commit callback runs serially in
- * ascending owner order, insertion order within an owner. Stage
- * callbacks must confine themselves to owner-local state — they may
- * not schedule events — which is what makes the parallel phase
- * deterministic: all cross-owner effects happen in the serial commit
- * phase, in canonical order, regardless of thread count.
  */
 
 #ifndef JTPS_SIM_EVENT_QUEUE_HH
@@ -28,15 +16,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "base/types.hh"
-
-namespace jtps
-{
-class ThreadPool;
-}
 
 namespace jtps::sim
 {
@@ -44,30 +27,16 @@ namespace jtps::sim
 /** Callback type for scheduled events. */
 using EventFn = std::function<void()>;
 
-/** Owned-event stage callback: runs possibly concurrently with other
- *  owners' stages; touches only owner-local state. Returns false to
- *  decline staging (the commit callback then receives staged=false
- *  and runs the work serially instead). */
-using StageFn = std::function<bool()>;
-
-/** Owned-event commit callback: always serial, ascending owner order.
- *  @p staged is what the stage callback returned. */
-using CommitFn = std::function<void(bool staged)>;
+/** Handle of one periodic chain (see EventQueue::schedulePeriodic). */
+using PeriodicId = std::uint64_t;
 
 /**
- * Time-ordered event queue with support for one-shot, periodic and
- * owned (stage/commit) events. Not thread-safe from outside; the
- * stage phase fans out internally on an owned thread pool.
+ * Time-ordered event queue with support for one-shot and periodic
+ * events. Not thread-safe.
  */
 class EventQueue
 {
   public:
-    EventQueue();
-    ~EventQueue();
-
-    /** Owner key marking an event as unowned (plain serial event). */
-    static constexpr std::uint64_t noOwner = ~0ULL;
-
     /** Current simulated time. */
     Tick now() const { return now_; }
 
@@ -78,32 +47,22 @@ class EventQueue
     void scheduleAfter(Tick delay, EventFn fn);
 
     /**
-     * Schedule an owned stage/commit event at absolute tick @p when.
-     * @p owner keys the parallel grouping and the canonical commit
-     * order; it must not be noOwner.
-     */
-    void scheduleOwnedAt(Tick when, std::uint64_t owner, StageFn stage,
-                         CommitFn commit);
-
-    /**
      * Schedule @p fn every @p period ticks, starting @p period from now.
      * The callback returns true to keep running, false to cancel.
+     * The queue owns the callback until the chain ends, is cancelled
+     * or the queue is cleared. @return the chain's id.
      */
-    void schedulePeriodic(Tick period, std::function<bool()> fn);
+    PeriodicId schedulePeriodic(Tick period, std::function<bool()> fn);
 
     /**
-     * Worker threads for the stage phase of owned-event batches.
-     * <= 1 runs stages inline (serially, still in stage/commit
-     * order); results are identical at any value. May be called
-     * between drains, not from inside a callback.
+     * End periodic chain @p id: its callback is released now and its
+     * pending wake does nothing. A no-op for a chain that already
+     * ended; safe from inside any callback, the chain's own included.
      */
-    void setStageThreads(unsigned threads);
-
-    /** Configured stage-phase width. */
-    unsigned stageThreads() const { return stage_threads_; }
+    void cancelPeriodic(PeriodicId id);
 
     /** Number of pending events. */
-    std::size_t pending() const;
+    std::size_t pending() const { return heap_.size(); }
 
     /** Run until the queue is empty. */
     void run();
@@ -114,22 +73,27 @@ class EventQueue
      */
     void runUntil(Tick until);
 
-    /** Drop all pending events without running them. */
+    /** Drop all pending events and periodic chains without running
+     *  them. */
     void clear();
 
   private:
     /** One pending event. Ordered by (when, seq): the insertion
      *  sequence breaks same-tick ties, so FIFO order within a tick is
-     *  preserved exactly as the old ordered-map key did. Owned events
-     *  (owner != noOwner) carry stage/commit instead of fn. */
+     *  preserved exactly as the old ordered-map key did. */
     struct Item
     {
         Tick when;
         std::uint64_t seq;
-        std::uint64_t owner;
         EventFn fn;
-        StageFn stage;
-        CommitFn commit;
+    };
+
+    /** A live periodic chain. Its pending wake refers to it by id
+     *  only, so the record owns nothing that points back at it. */
+    struct Periodic
+    {
+        Tick period;
+        std::function<bool()> fn;
     };
 
     /** Heap predicate: @p a fires after @p b (min-heap via the
@@ -140,10 +104,8 @@ class EventQueue
         return a.when != b.when ? a.when > b.when : a.seq > b.seq;
     }
 
-    void push(Item item);
-    Item popFront();
     void runOne();
-    void runOwnedBatch(Item first);
+    void wakePeriodic(PeriodicId id);
 
     Tick now_ = 0;
     std::uint64_t next_seq_ = 0;
@@ -156,13 +118,8 @@ class EventQueue
      */
     std::vector<Item> heap_;
 
-    unsigned stage_threads_ = 1;
-    /** Lazily built; only exists while stage_threads_ > 1. */
-    std::unique_ptr<ThreadPool> pool_;
-    /** True while stage callbacks may be running on pool workers;
-     *  scheduling is rejected with a panic (commit is the place for
-     *  cross-owner effects, including rescheduling). */
-    bool stage_active_ = false;
+    PeriodicId next_periodic_ = 0;
+    std::unordered_map<PeriodicId, Periodic> periodic_;
 };
 
 } // namespace jtps::sim

@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "base/hash.hh"
-#include "base/logging.hh"
-#include "base/units.hh"
 
 namespace jtps::workload
 {
@@ -89,38 +87,8 @@ ClientDriver::runRequests(std::uint64_t requests)
 }
 
 ClientDriver::EpochResult
-ClientDriver::finishEpoch(std::uint64_t requests,
-                          std::uint64_t request_faults,
-                          std::uint64_t request_ram_faults,
-                          std::uint64_t total_faults)
-{
-    EpochResult res;
-    res.requests = requests;
-    res.majorFaults = total_faults;
-    res.faultsPerRequest = static_cast<double>(request_faults) /
-                           static_cast<double>(requests);
-    const double disk_faults_per_req =
-        static_cast<double>(request_faults - request_ram_faults) /
-        static_cast<double>(requests);
-    const double ram_faults_per_req =
-        static_cast<double>(request_ram_faults) /
-        static_cast<double>(requests);
-    res.avgResponseMs = spec_.serviceMs +
-                        disk_faults_per_req * disk_.faultLatencyMs() +
-                        ram_faults_per_req * compressedRefaultMs;
-    const double cycle_ms = spec_.thinkMs + res.avgResponseMs;
-    res.achievedPerSec = spec_.clientThreads * 1000.0 / cycle_ms;
-    res.slaMet = res.avgResponseMs <= spec_.slaMs;
-
-    // Adapt the loop's pacing for the next epoch.
-    cycle_ms_estimate_ = 0.5 * cycle_ms_estimate_ + 0.5 * cycle_ms;
-    return res;
-}
-
-ClientDriver::EpochResult
 ClientDriver::runEpoch(Tick epoch_ms)
 {
-    jtps_assert(!staged_.valid);
     auto &hv = vm_.os().hv();
     const VmId vm_id = vm_.os().vmId();
     const std::uint64_t faults_before = hv.majorFaults(vm_id);
@@ -157,162 +125,27 @@ ClientDriver::runEpoch(Tick epoch_ms)
     // refaults cost a fixed decompression.
     disk_.recordFaults(total_faults - total_ram_faults);
 
-    return finishEpoch(requests, request_faults, request_ram_faults,
-                       total_faults);
-}
+    EpochResult res;
+    res.requests = requests;
+    res.majorFaults = total_faults;
+    res.faultsPerRequest = static_cast<double>(request_faults) /
+                           static_cast<double>(requests);
+    const double disk_faults_per_req =
+        static_cast<double>(request_faults - request_ram_faults) /
+        static_cast<double>(requests);
+    const double ram_faults_per_req =
+        static_cast<double>(request_ram_faults) /
+        static_cast<double>(requests);
+    res.avgResponseMs = spec_.serviceMs +
+                        disk_faults_per_req * disk_.faultLatencyMs() +
+                        ram_faults_per_req * compressedRefaultMs;
+    const double cycle_ms = spec_.thinkMs + res.avgResponseMs;
+    res.achievedPerSec = spec_.clientThreads * 1000.0 / cycle_ms;
+    res.slaMet = res.avgResponseMs <= spec_.slaMs;
 
-std::uint64_t
-ClientDriver::epochGfnBound(Tick epoch_ms) const
-{
-    // The cycle estimate never drops below think + service, so the
-    // closed loop can never issue more requests than this (plus the
-    // clientThreads floor and a thread of slack).
-    const double min_cycle = spec_.thinkMs + spec_.serviceMs;
-    const std::uint64_t requests =
-        std::max<std::uint64_t>(
-            spec_.clientThreads,
-            static_cast<std::uint64_t>(
-                static_cast<double>(epoch_ms) / min_cycle *
-                spec_.clientThreads)) +
-        spec_.clientThreads;
-
-    double alloc_mul = 1.0, touch_mul = 1.0, header_mul = 1.0;
-    for (const RequestOp &op : spec_.mix) {
-        alloc_mul = std::max(alloc_mul, op.allocMul);
-        touch_mul = std::max(touch_mul, op.touchMul);
-        header_mul = std::max(header_mul, op.headerMul);
-    }
-    // Charge every write and every touch as a potential first-touch
-    // gfn allocation (touches of file-backed pages can miss the page
-    // cache and fill it).
-    const std::uint64_t alloc_pages =
-        bytesToPages(static_cast<Bytes>(
-            static_cast<double>(spec_.allocPerRequestBytes) *
-            alloc_mul)) + 2;
-    const std::uint64_t touch_pages =
-        static_cast<std::uint64_t>(
-            (spec_.touchCodePages + spec_.touchHeapPages +
-             spec_.touchClassPages + spec_.touchJitPages) *
-            touch_mul) + 1;
-    const std::uint64_t header_pages =
-        static_cast<std::uint64_t>(
-            spec_.headerMutationsPerRequest * header_mul) + 1;
-    const std::uint64_t per_request =
-        alloc_pages + touch_pages + header_pages;
-
-    // GC writes land inside the heap VMA at offsets below the
-    // allocation cursor (already mapped); the exceptions that can
-    // demand fresh frames are the one-time headroom clear above the
-    // trigger and, under Gencon, tenured growth from promotions.
-    const std::uint64_t heap_pages = bytesToPages(spec_.gc.heapBytes);
-    std::uint64_t gc_pages =
-        static_cast<std::uint64_t>(
-            static_cast<double>(heap_pages) *
-            (1.0 - spec_.gc.gcTriggerFraction)) + 1;
-    if (spec_.gc.policy == jvm::GcConfig::Policy::Gencon) {
-        const std::uint64_t nursery_pages =
-            bytesToPages(spec_.gc.nurseryBytes);
-        if (nursery_pages > 0) {
-            const std::uint64_t gcs =
-                requests * alloc_pages /
-                    std::max<std::uint64_t>(1, nursery_pages / 2) + 1;
-            gc_pages += gcs * (static_cast<std::uint64_t>(
-                                   static_cast<double>(nursery_pages) *
-                                   spec_.gc.promoteFraction) + 1);
-        }
-    }
-
-    // Warm-up loading (metaspace appends + shared-cache page-ins per
-    // class, JIT code + scratch churn per compile), background NIO
-    // and page-cache fills.
-    const std::uint64_t warmup_pages =
-        spec_.lazyClassesPerEpoch * 8ull +
-        (spec_.jitCompilesPerEpoch + spec_.jitRecompilesPerEpoch) * 16ull;
-    const std::uint64_t io_pages = spec_.nioRewritesPerEpoch +
-                                   spec_.nioTouchesPerEpoch +
-                                   spec_.guestCacheTouchesPerEpoch + 1;
-
-    return requests * per_request + gc_pages + warmup_pages + io_pages;
-}
-
-bool
-ClientDriver::stageable(Tick epoch_ms) const
-{
-    const auto &os = vm_.os();
-    const std::uint64_t usable =
-        os.guestPages() - os.balloonHeldPages();
-    const std::uint64_t used = os.gfnsAllocated();
-    const std::uint64_t free_frames = usable > used ? usable - used : 0;
-    return free_frames >= epochGfnBound(epoch_ms);
-}
-
-bool
-ClientDriver::stageEpoch(Tick epoch_ms, hv::WriteIntentLog &log)
-{
-    jtps_assert(!staged_.valid);
-    if (!stageable(epoch_ms))
-        return false;
-
-    log.clear();
-    auto &os = vm_.os();
-    const std::uint64_t guest_faults_before = os.guestMajorFaults();
-    os.beginStaging(&log);
-
-    warmupWork();
-    const std::uint64_t requests = plannedRequests(epoch_ms);
-    runRequests(requests);
-
-    // The fault-accounting bracket around the request phase closes
-    // here: every hv call up to this watermark (warm-up included,
-    // matching runEpoch's bracket) counts as request-path faulting.
-    staged_.requestLogEnd = log.size();
-    staged_.requestGuestFaults =
-        os.guestMajorFaults() - guest_faults_before;
-
-    vm_.nioActivity(spec_.nioRewritesPerEpoch, spec_.nioTouchesPerEpoch);
-    const std::uint64_t misses_before = os.cacheMisses();
-    os.touchFileSpace(spec_.guestCacheTouchesPerEpoch);
-    staged_.cacheMissFaults = os.cacheMisses() - misses_before;
-    staged_.totalGuestFaults =
-        os.guestMajorFaults() - guest_faults_before;
-    staged_.requests = requests;
-
-    os.endStaging();
-    staged_.valid = true;
-    return true;
-}
-
-ClientDriver::EpochResult
-ClientDriver::commitEpoch(Tick epoch_ms, hv::WriteIntentLog &log)
-{
-    (void)epoch_ms;
-    jtps_assert(staged_.valid);
-    auto &hv = vm_.os().hv();
-    const VmId vm_id = vm_.os().vmId();
-    const std::uint64_t faults_before = hv.majorFaults(vm_id);
-    const std::uint64_t ram_faults_before = hv.majorFaultsRam(vm_id);
-
-    // Replay in the same two brackets runEpoch measures in, so the
-    // per-request fault split is identical to direct execution.
-    log.replay(hv, vm_id, 0, staged_.requestLogEnd);
-    const std::uint64_t request_faults =
-        hv.majorFaults(vm_id) - faults_before +
-        staged_.requestGuestFaults;
-    const std::uint64_t request_ram_faults =
-        hv.majorFaultsRam(vm_id) - ram_faults_before;
-
-    log.replay(hv, vm_id, staged_.requestLogEnd, log.size());
-    disk_.recordFaults(staged_.cacheMissFaults);
-    const std::uint64_t total_faults =
-        hv.majorFaults(vm_id) - faults_before +
-        staged_.totalGuestFaults;
-    const std::uint64_t total_ram_faults =
-        hv.majorFaultsRam(vm_id) - ram_faults_before;
-    disk_.recordFaults(total_faults - total_ram_faults);
-
-    staged_.valid = false;
-    return finishEpoch(staged_.requests, request_faults,
-                       request_ram_faults, total_faults);
+    // Adapt the loop's pacing for the next epoch.
+    cycle_ms_estimate_ = 0.5 * cycle_ms_estimate_ + 0.5 * cycle_ms;
+    return res;
 }
 
 } // namespace jtps::workload

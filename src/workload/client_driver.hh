@@ -23,7 +23,6 @@
 
 #include "base/rng.hh"
 #include "base/types.hh"
-#include "hv/intent_log.hh"
 #include "jvm/java_vm.hh"
 #include "workload/workload_spec.hh"
 
@@ -124,36 +123,6 @@ class ClientDriver
      */
     EpochResult runEpoch(Tick epoch_ms);
 
-    // ------------------------------------------------------------------
-    // Staged execution (parallel tick batches)
-    // ------------------------------------------------------------------
-
-    /**
-     * True when the next epoch may run in the parallel stage phase:
-     * the guest has enough free frames to absorb the epoch's
-     * worst-case page demand without guest-internal reclaim (a
-     * reclaim may need to swap out anonymous pages, which reads
-     * host-resident content). Guest-local and deterministic, so the
-     * verdict is identical at any stage-thread count.
-     */
-    bool stageable(Tick epoch_ms) const;
-
-    /**
-     * Stage one epoch: run the epoch's guest-local work, appending
-     * every hypervisor effect to @p log (cleared first) instead of
-     * executing it. Returns false — with this driver untouched — when
-     * the epoch is not stageable; otherwise commitEpoch() must run
-     * (serially) before the next stage or runEpoch.
-     */
-    bool stageEpoch(Tick epoch_ms, hv::WriteIntentLog &log);
-
-    /**
-     * Replay the staged log through the hypervisor in log order and
-     * assemble the EpochResult exactly as runEpoch would have,
-     * including the shared-disk fault accounting.
-     */
-    EpochResult commitEpoch(Tick epoch_ms, hv::WriteIntentLog &log);
-
     /** True once lazy loading and JIT warm-up are finished. */
     bool warm() const { return warm_; }
 
@@ -161,37 +130,9 @@ class ClientDriver
     jvm::JavaVm &vm() { return vm_; }
 
   private:
-    /**
-     * Upper bound on guest frames one epoch can demand: worst-case
-     * request count at the loop's floor cycle time, every write or
-     * touch charged as a potential first-touch allocation, plus GC
-     * headroom/promotion growth, warm-up loading, NIO and page-cache
-     * fills. Deliberately generous — a false "not stageable" only
-     * costs parallelism, a false "stageable" would panic.
-     */
-    std::uint64_t epochGfnBound(Tick epoch_ms) const;
-
     void warmupWork();
     std::uint64_t plannedRequests(Tick epoch_ms) const;
     void runRequests(std::uint64_t requests);
-    EpochResult finishEpoch(std::uint64_t requests,
-                            std::uint64_t request_faults,
-                            std::uint64_t request_ram_faults,
-                            std::uint64_t total_faults);
-
-    /** Guest-local measurements captured at stage time, consumed by
-     *  commitEpoch. */
-    struct StagedEpoch
-    {
-        bool valid = false;
-        std::uint64_t requests = 0;
-        /** Log watermark separating request work from background I/O
-         *  (the fault-accounting bracket boundary). */
-        std::size_t requestLogEnd = 0;
-        std::uint64_t requestGuestFaults = 0;
-        std::uint64_t totalGuestFaults = 0;
-        std::uint64_t cacheMissFaults = 0;
-    };
 
     jvm::JavaVm &vm_;
     const WorkloadSpec &spec_;
@@ -200,7 +141,6 @@ class ClientDriver
     bool warm_ = false;
     Rng mix_rng_;
     std::uint32_t mix_weight_ = 0; //!< cached totalMixWeight()
-    StagedEpoch staged_;
 };
 
 } // namespace jtps::workload

@@ -59,6 +59,22 @@ TEST(Scenario, BuildsAndRunsTuscany)
     }
 }
 
+TEST(Scenario, AccountingAfterRetireVmCoversLiveGuests)
+{
+    setVerbose(false);
+    Scenario s(fastConfig(false), tuscanyVms(3));
+    s.build();
+    s.runFor(4'000);
+    s.retireVm(1);
+    s.runFor(2'000);
+    s.hv().checkConsistency();
+
+    // The retired guest's EPT is gone; the walk covers the other two.
+    auto acct = s.account();
+    EXPECT_EQ(acct.attributedBytes(), acct.residentBytes());
+    EXPECT_EQ(acct.residentBytes(), s.hv().residentBytes());
+}
+
 TEST(Scenario, ClassSharingIncreasesJavaSavings)
 {
     setVerbose(false);

@@ -905,16 +905,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BatchWidthInvarianceFuzz,
 namespace
 {
 
-/** The three counters only the staged guest-execution path moves;
- *  identically zero under direct (guestThreads == 0) execution. */
-const std::vector<std::string> guestOnlyCounters = {
-    "sim.guest_shards",
-    "sim.intent_commits",
-    "sim.stage_fallbacks",
-};
-
-core::ScenarioConfig
-guestExecCfg(unsigned guest_threads, std::uint64_t seed, Bytes host_ram)
+/**
+ * Build and run a small traced 3-VM scenario. Each guest's balloon is
+ * inflated after boot until only @p leave_free_pages guest frames stay
+ * free, so the guests' epochs run into guest-internal reclaim and
+ * guest swap.
+ */
+std::unique_ptr<core::Scenario>
+runGuestScenario(std::uint64_t seed, Bytes host_ram,
+                 std::uint64_t leave_free_pages)
 {
     core::ScenarioConfig cfg;
     cfg.enableClassSharing = true;
@@ -922,37 +921,19 @@ guestExecCfg(unsigned guest_threads, std::uint64_t seed, Bytes host_ram)
     cfg.steadyMs = 6'000;
     cfg.host.ramBytes = host_ram;
     cfg.seed = seed;
-    cfg.guestThreads = guest_threads;
-    return cfg;
-}
-
-/**
- * Build and run a small 3-VM scenario at the given stage width. When
- * @p leave_free_pages is nonzero, each guest's balloon is inflated
- * after boot until only that many guest frames stay free — driving the
- * guests inside the stageability bound so their epochs must fall back
- * to direct execution.
- */
-std::unique_ptr<core::Scenario>
-runGuestScenario(unsigned guest_threads, std::uint64_t seed,
-                 Bytes host_ram, std::uint64_t leave_free_pages = 0)
-{
     auto s = std::make_unique<core::Scenario>(
-        guestExecCfg(guest_threads, seed, host_ram),
-        std::vector<workload::WorkloadSpec>(
-            3, workload::tuscanyBigbank()));
+        cfg, std::vector<workload::WorkloadSpec>(
+                 3, workload::tuscanyBigbank()));
     s->build();
     s->trace().enable();
-    if (leave_free_pages > 0) {
-        for (std::size_t v = 0; v < s->vmCount(); ++v) {
-            auto &os = s->guest(v);
-            const std::uint64_t used =
-                os.balloonHeldPages() + os.gfnsAllocated();
-            const std::uint64_t free =
-                os.guestPages() > used ? os.guestPages() - used : 0;
-            if (free > leave_free_pages)
-                os.balloonTake(free - leave_free_pages);
-        }
+    for (std::size_t v = 0; v < s->vmCount(); ++v) {
+        auto &os = s->guest(v);
+        const std::uint64_t used =
+            os.balloonHeldPages() + os.gfnsAllocated();
+        const std::uint64_t free =
+            os.guestPages() > used ? os.guestPages() - used : 0;
+        if (free > leave_free_pages)
+            os.balloonTake(free - leave_free_pages);
     }
     s->run();
     s->hv().checkConsistency();
@@ -960,21 +941,17 @@ runGuestScenario(unsigned guest_threads, std::uint64_t seed,
 }
 
 /**
- * Byte-for-byte equality of two completed runs: the full stat registry
- * (minus @p exempt), the whole trace stream including timestamps, the
- * EPT translations and page contents, and the per-epoch results.
+ * Byte-for-byte equality of two completed runs: the full stat registry,
+ * the whole trace stream including timestamps, the EPT translations and
+ * page contents, and the per-epoch results.
  */
 void
-expectRunsEqual(core::Scenario &a, core::Scenario &b,
-                const std::vector<std::string> &exempt)
+expectRunsEqual(core::Scenario &a, core::Scenario &b)
 {
     auto ca = a.stats().counters();
     auto cb = b.stats().counters();
     ASSERT_EQ(ca.size(), cb.size());
     for (const auto &[name, value] : ca) {
-        if (std::find(exempt.begin(), exempt.end(), name) !=
-            exempt.end())
-            continue;
         auto it = cb.find(name);
         ASSERT_TRUE(it != cb.end()) << name;
         EXPECT_EQ(value, it->second) << name;
@@ -1011,95 +988,29 @@ expectRunsEqual(core::Scenario &a, core::Scenario &b,
     }
 
     // The epoch histories feed these; exact equality because both
-    // modes perform the identical arithmetic in the identical order.
+    // runs perform the identical arithmetic in the identical order.
     EXPECT_EQ(a.aggregateThroughput(100), b.aggregateThroughput(100));
     EXPECT_EQ(a.perVmThroughput(100), b.perVmThroughput(100));
     EXPECT_EQ(a.perVmResponseMs(100), b.perVmResponseMs(100));
 }
 
-class GuestExecEquivalenceFuzz : public ::testing::TestWithParam<unsigned>
-{
-};
-
 } // namespace
 
-TEST_P(GuestExecEquivalenceFuzz, StagedMatchesDirectExecution)
+TEST(GuestExecSqueezedDeterminism, BalloonedPagedHostRepeatsExactly)
 {
-    const unsigned threads = GetParam();
-    // Reference: legacy direct execution. Staged side: stage/commit
-    // epochs at the parameterized width. Everything observable must be
-    // identical except the three staging counters.
-    auto ref = runGuestScenario(0, 42, 6ULL * GiB);
-    auto staged = runGuestScenario(threads, 42, 6ULL * GiB);
-    ASSERT_NO_FATAL_FAILURE(
-        expectRunsEqual(*staged, *ref, guestOnlyCounters));
-    for (const auto &c : guestOnlyCounters)
-        EXPECT_EQ(ref->stats().get(c), 0u) << c;
-    // Not vacuous: with ample guest headroom every epoch stages.
-    EXPECT_GT(staged->stats().get("sim.guest_shards"), 0u);
-    EXPECT_GT(staged->stats().get("sim.intent_commits"), 0u);
-    EXPECT_EQ(staged->stats().get("sim.stage_fallbacks"), 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Widths, GuestExecEquivalenceFuzz,
-                         ::testing::ValuesIn(parallelThreadCounts()));
-
-namespace
-{
-
-class GuestExecThreadInvarianceFuzz
-    : public ::testing::TestWithParam<unsigned>
-{
-};
-
-} // namespace
-
-TEST_P(GuestExecThreadInvarianceFuzz, WidthsFullyIdentical)
-{
-    const unsigned threads = GetParam();
-    // Both sides take the staged path, at different widths. Nothing at
-    // all may differ — the staging counters included, since stage
-    // verdicts and intent counts depend only on the simulated state.
-    auto one = runGuestScenario(1, 9, 6ULL * GiB);
-    auto wide = runGuestScenario(threads, 9, 6ULL * GiB);
-    ASSERT_NO_FATAL_FAILURE(expectRunsEqual(*wide, *one, {}));
-    EXPECT_GT(wide->stats().get("sim.guest_shards"), 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Widths, GuestExecThreadInvarianceFuzz,
-                         ::testing::Values(2, 4));
-
-namespace
-{
-
-class GuestExecFallbackFuzz : public ::testing::TestWithParam<unsigned>
-{
-};
-
-} // namespace
-
-TEST_P(GuestExecFallbackFuzz, BalloonedAndPagedHostMatchesDirect)
-{
-    const unsigned threads = GetParam();
     // Host RAM below the guests' combined footprint (evictions and
-    // swap-ins on the commit path) and balloons inflated until only
-    // ~4 MiB of guest memory stays free: every epoch's worst-case
-    // demand bound exceeds that, so staging must decline and fall
-    // back to serial direct execution — and still match it exactly.
-    auto ref = runGuestScenario(0, 5, 640ULL * MiB, 1024);
-    auto staged = runGuestScenario(threads, 5, 640ULL * MiB, 1024);
-    ASSERT_NO_FATAL_FAILURE(
-        expectRunsEqual(*staged, *ref, guestOnlyCounters));
-    EXPECT_GT(staged->stats().get("sim.stage_fallbacks"), 0u);
-    EXPECT_EQ(ref->stats().get("sim.stage_fallbacks"), 0u);
-    // The squeeze has to have actually engaged both pressure paths.
-    EXPECT_GT(staged->hv().majorFaults(0) + staged->hv().majorFaults(1) +
-                  staged->hv().majorFaults(2),
+    // host swap-ins) and balloons inflated until only ~4 MiB of guest
+    // memory stays free (guest reclaim and guest swap): the same seed
+    // must still reproduce every counter, trace event, page and epoch
+    // result.
+    auto a = runGuestScenario(5, 640ULL * MiB, 1024);
+    auto b = runGuestScenario(5, 640ULL * MiB, 1024);
+    ASSERT_NO_FATAL_FAILURE(expectRunsEqual(*a, *b));
+    // The squeeze has to have actually engaged host paging.
+    EXPECT_GT(a->hv().majorFaults(0) + a->hv().majorFaults(1) +
+                  a->hv().majorFaults(2),
               0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(Widths, GuestExecFallbackFuzz,
-                         ::testing::Values(1, 4));
 
 // ---------------------------------------------------------------------
 // PML (dirty-log) scan equivalence

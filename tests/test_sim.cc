@@ -3,9 +3,9 @@
  * Unit tests for the discrete-event engine.
  */
 
-#include <atomic>
-#include <mutex>
-#include <string>
+#include <algorithm>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -112,193 +112,99 @@ TEST(EventQueue, PeriodicInterleavesWithOneShots)
     EXPECT_EQ(it->second, 10u);
 }
 
-// ----------------------------------------------------------------------
-// Drain reentrancy and owned (stage/commit) batches. Each behaviour is
-// pinned at 1 and 4 stage threads: the threaded drain path must keep
-// the serial contract exactly.
-// ----------------------------------------------------------------------
-
-namespace
-{
-
-std::vector<unsigned>
-stageWidths()
-{
-    return {1, 4};
-}
-
-} // namespace
-
 TEST(EventQueue, ScheduleAtNowDuringDrainRunsSameTick)
 {
-    for (unsigned width : stageWidths()) {
-        SCOPED_TRACE(width);
-        EventQueue q;
-        q.setStageThreads(width);
-        std::vector<std::pair<int, Tick>> log;
-        // The first event at tick 10 schedules two more *at now()*
-        // while the tick is draining; a later tick-10 event was
-        // already queued. All four must run at tick 10 in insertion
-        // order.
-        q.scheduleAt(10, [&] {
-            log.push_back({0, q.now()});
-            q.scheduleAt(q.now(), [&] { log.push_back({2, q.now()}); });
-            q.scheduleAt(q.now(), [&] { log.push_back({3, q.now()}); });
+    EventQueue q;
+    std::vector<std::pair<int, Tick>> log;
+    // The first event at tick 10 schedules two more *at now()* while
+    // the tick is draining; a later tick-10 event was already queued.
+    // All four must run at tick 10 in insertion order.
+    q.scheduleAt(10, [&] {
+        log.push_back({0, q.now()});
+        q.scheduleAt(q.now(), [&] { log.push_back({2, q.now()}); });
+        q.scheduleAt(q.now(), [&] { log.push_back({3, q.now()}); });
+    });
+    q.scheduleAt(10, [&] { log.push_back({1, q.now()}); });
+    q.scheduleAt(20, [&] { log.push_back({4, q.now()}); });
+    q.run();
+    ASSERT_EQ(log.size(), 5u);
+    for (int i = 0; i < 5; ++i) {
+        EXPECT_EQ(log[i].first, i);
+        EXPECT_EQ(log[i].second, i < 4 ? 10u : 20u);
+    }
+}
+
+// ----------------------------------------------------------------------
+// Periodic chains: the queue owns each chain's callback only while the
+// chain lives. The token's weak pointer expires exactly when the queue
+// has released the callback (and everything it captured).
+// ----------------------------------------------------------------------
+
+TEST(EventQueue, PeriodicReleasesCallbackWhenItReturnsFalse)
+{
+    EventQueue q;
+    auto token = std::make_shared<int>(0);
+    std::weak_ptr<int> watch = token;
+    q.schedulePeriodic(10, [token]() { return ++*token < 3; });
+    token.reset();
+    q.run();
+    EXPECT_EQ(q.now(), 30u);
+    EXPECT_TRUE(watch.expired());
+}
+
+TEST(EventQueue, ClearReleasesPeriodicCallbacks)
+{
+    EventQueue q;
+    auto token = std::make_shared<int>(0);
+    std::weak_ptr<int> watch = token;
+    q.schedulePeriodic(10, [token]() {
+        ++*token;
+        return true;
+    });
+    token.reset();
+    q.runUntil(25);
+    EXPECT_EQ(*watch.lock(), 2);
+    q.clear();
+    EXPECT_TRUE(watch.expired());
+    EXPECT_EQ(q.pending(), 0u);
+}
+
+TEST(EventQueue, CancelPeriodicEndsTheChain)
+{
+    EventQueue q;
+    auto token = std::make_shared<int>(0);
+    std::weak_ptr<int> watch = token;
+    int other = 0;
+    const sim::PeriodicId id = q.schedulePeriodic(10, [token]() {
+        ++*token;
+        return true;
+    });
+    q.schedulePeriodic(10, [&]() { return ++other < 5; });
+    token.reset();
+    q.runUntil(20);
+    q.cancelPeriodic(id);
+    EXPECT_TRUE(watch.expired());
+    q.run();
+    EXPECT_EQ(other, 5);
+    EXPECT_EQ(q.now(), 50u);
+}
+
+TEST(EventQueue, PeriodicMayCancelItselfAndStartChains)
+{
+    EventQueue q;
+    std::vector<std::pair<char, Tick>> log;
+    sim::PeriodicId self = 0;
+    self = q.schedulePeriodic(10, [&]() {
+        log.push_back({'a', q.now()});
+        // Returning true after cancelling must not revive the chain.
+        q.cancelPeriodic(self);
+        q.schedulePeriodic(5, [&]() {
+            log.push_back({'b', q.now()});
+            return q.now() < 20;
         });
-        q.scheduleAt(10, [&] { log.push_back({1, q.now()}); });
-        q.scheduleAt(20, [&] { log.push_back({4, q.now()}); });
-        q.run();
-        ASSERT_EQ(log.size(), 5u);
-        for (int i = 0; i < 5; ++i) {
-            EXPECT_EQ(log[i].first, i);
-            EXPECT_EQ(log[i].second, i < 4 ? 10u : 20u);
-        }
-    }
-}
-
-TEST(EventQueue, OwnedBatchCommitsInAscendingOwnerOrder)
-{
-    for (unsigned width : stageWidths()) {
-        SCOPED_TRACE(width);
-        EventQueue q;
-        q.setStageThreads(width);
-        std::mutex mu;
-        std::vector<std::string> log;
-        std::atomic<int> stages_done{0};
-        // Insertion order 2, 0, 1; commits must run 0, 1, 2, and only
-        // after every stage in the batch has finished.
-        for (std::uint64_t owner : {2u, 0u, 1u}) {
-            q.scheduleOwnedAt(
-                5, owner,
-                [&, owner] {
-                    std::lock_guard<std::mutex> lock(mu);
-                    log.push_back("s" + std::to_string(owner));
-                    ++stages_done;
-                    return true;
-                },
-                [&, owner](bool staged) {
-                    EXPECT_TRUE(staged);
-                    EXPECT_EQ(stages_done.load(), 3);
-                    log.push_back("c" + std::to_string(owner));
-                });
-        }
-        q.run();
-        ASSERT_EQ(log.size(), 6u);
-        // Stage order across owners is unspecified under a pool; the
-        // serial commit tail is the contract.
-        EXPECT_EQ(log[3], "c0");
-        EXPECT_EQ(log[4], "c1");
-        EXPECT_EQ(log[5], "c2");
-    }
-}
-
-TEST(EventQueue, SameOwnerKeepsInsertionOrderWithinBatch)
-{
-    for (unsigned width : stageWidths()) {
-        SCOPED_TRACE(width);
-        EventQueue q;
-        q.setStageThreads(width);
-        std::vector<int> log;
-        for (int i = 0; i < 3; ++i) {
-            q.scheduleOwnedAt(
-                5, 7, [&log, i] {
-                    log.push_back(i);
-                    return true;
-                },
-                [&log, i](bool) { log.push_back(10 + i); });
-        }
-        q.run();
-        // One owner: stages 0,1,2 then commits 10,11,12.
-        EXPECT_EQ(log, (std::vector<int>{0, 1, 2, 10, 11, 12}));
-    }
-}
-
-TEST(EventQueue, UnownedEventSplitsOwnedBatch)
-{
-    for (unsigned width : stageWidths()) {
-        SCOPED_TRACE(width);
-        EventQueue q;
-        q.setStageThreads(width);
-        std::vector<std::string> log;
-        q.scheduleOwnedAt(
-            5, 1, [&] {
-                log.push_back("s1");
-                return true;
-            },
-            [&](bool) { log.push_back("c1"); });
-        q.scheduleAt(5, [&] { log.push_back("u"); });
-        q.scheduleOwnedAt(
-            5, 0, [&] {
-                log.push_back("s0");
-                return true;
-            },
-            [&](bool) { log.push_back("c0"); });
-        q.run();
-        // The unowned event ends the first batch: owner 1 stages and
-        // commits entirely before it, owner 0 entirely after, exactly
-        // the strict (when, seq) serial order.
-        EXPECT_EQ(log, (std::vector<std::string>{"s1", "c1", "u", "s0",
-                                                 "c0"}));
-    }
-}
-
-TEST(EventQueue, CommitMayRescheduleSameTick)
-{
-    for (unsigned width : stageWidths()) {
-        SCOPED_TRACE(width);
-        EventQueue q;
-        q.setStageThreads(width);
-        Tick fired_at = 0;
-        Tick owned_at = 0;
-        q.scheduleOwnedAt(
-            5, 0, [] { return true; },
-            [&](bool) {
-                owned_at = q.now();
-                q.scheduleAt(q.now(), [&] { fired_at = q.now(); });
-                q.scheduleOwnedAt(
-                    q.now() + 5, 0, [] { return true; }, [](bool) {});
-            });
-        q.run();
-        EXPECT_EQ(owned_at, 5u);
-        EXPECT_EQ(fired_at, 5u);
-        EXPECT_EQ(q.now(), 10u);
-    }
-}
-
-TEST(EventQueue, StageDeclineDeliversFalseToCommit)
-{
-    for (unsigned width : stageWidths()) {
-        SCOPED_TRACE(width);
-        EventQueue q;
-        q.setStageThreads(width);
-        std::vector<std::pair<std::uint64_t, bool>> commits;
-        q.scheduleOwnedAt(
-            5, 0, [] { return false; },
-            [&](bool staged) { commits.push_back({0, staged}); });
-        q.scheduleOwnedAt(
-            5, 1, [] { return true; },
-            [&](bool staged) { commits.push_back({1, staged}); });
-        q.run();
-        ASSERT_EQ(commits.size(), 2u);
-        EXPECT_EQ(commits[0], (std::pair<std::uint64_t, bool>{0, false}));
-        EXPECT_EQ(commits[1], (std::pair<std::uint64_t, bool>{1, true}));
-    }
-}
-
-TEST(EventQueueDeathTest, SchedulingDuringStageIsAPanic)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    auto run = [] {
-        EventQueue q;
-        q.setStageThreads(1); // inline stage still forbids scheduling
-        q.scheduleOwnedAt(
-            5, 0,
-            [&q] {
-                q.scheduleAt(q.now(), [] {});
-                return true;
-            },
-            [](bool) {});
-        q.run();
-    };
-    EXPECT_DEATH(run(), "stage");
+        return true;
+    });
+    q.run();
+    EXPECT_EQ(log, (std::vector<std::pair<char, Tick>>{
+                       {'a', 10}, {'b', 15}, {'b', 20}}));
 }

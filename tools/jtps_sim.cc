@@ -57,7 +57,6 @@ struct Options
     unsigned ksmThreads = 1;
     unsigned ksmCommitShards = 1;
     unsigned ksmBatch = 16;
-    unsigned guestThreads = 1;
     // Cluster mode (--hosts > 0 switches from one Scenario to a fleet).
     int hosts = 0;
     int perHost = 4;
@@ -109,8 +108,6 @@ usage(const char *argv0)
         "  --ksm-batch N   stage KSM content kernels over N-page\n"
         "                  windows (1 disables; byte-identical at any\n"
         "                  N, only ksm.batch_* counters move)\n"
-        "  --guest-threads N  stage guest-mutator epochs on N threads\n"
-        "                  (counters/traces identical at any N)\n"
         "cluster mode (fleet of independent hosts):\n"
         "  --hosts H       simulate H hosts (0 = single-host mode);\n"
         "                  --workload mix cycles all four workloads\n"
@@ -184,9 +181,6 @@ parse(int argc, char **argv)
                 static_cast<unsigned>(std::strtoul(need(i), nullptr, 10));
         else if (arg == "--ksm-batch")
             opt.ksmBatch =
-                static_cast<unsigned>(std::strtoul(need(i), nullptr, 10));
-        else if (arg == "--guest-threads")
-            opt.guestThreads =
                 static_cast<unsigned>(std::strtoul(need(i), nullptr, 10));
         else if (arg == "--hosts")
             opt.hosts = std::atoi(need(i));
@@ -396,7 +390,7 @@ clusterDocumentJson(const Options &opt, cluster::Cluster &fleet,
     w.field("per_host", opt.perHost);
     w.field("vms", static_cast<std::uint64_t>(opt.hosts) *
                        static_cast<std::uint64_t>(opt.perHost));
-    // Like the guest/ksm/analysis thread knobs, --fleet-threads is a
+    // Like the ksm/analysis thread knobs, --fleet-threads is a
     // machine-sizing setting, not part of the run's identity: documents
     // must be byte-identical at any value, so it is not recorded.
     w.field("placement", opt.placement);
@@ -532,7 +526,6 @@ main(int argc, char **argv)
     cfg.ksmScanThreads = opt.ksmThreads == 0 ? 1 : opt.ksmThreads;
     cfg.ksmCommitShards = opt.ksmCommitShards;
     cfg.ksmBatchPages = opt.ksmBatch;
-    cfg.guestThreads = opt.guestThreads == 0 ? 1 : opt.guestThreads;
     cfg.pmlRingSlots = opt.pmlRingSlots;
     cfg.adaptiveBalloon = opt.adaptiveBalloon;
 
