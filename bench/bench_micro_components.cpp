@@ -471,6 +471,8 @@ BENCHMARK(BM_ConvergedScanPassParallel)->Arg(1)->Arg(2)->Arg(4);
 void
 BM_ConvergedForensicsSnapshot(benchmark::State &state)
 {
+    // The argument is the per-guest walk width; the accounting that
+    // follows is one serial pass at every width.
     core::Scenario &scenario = convergedScenario();
     const unsigned threads = static_cast<unsigned>(state.range(0));
     std::vector<const guest::GuestOs *> guests;
@@ -479,7 +481,7 @@ BM_ConvergedForensicsSnapshot(benchmark::State &state)
     for (auto _ : state) {
         analysis::Snapshot snap =
             analysis::captureSnapshot(scenario.hv(), guests, threads);
-        analysis::OwnerAccounting acct(snap, threads);
+        analysis::OwnerAccounting acct(snap);
         benchmark::DoNotOptimize(acct.attributedBytes());
     }
     state.SetItemsProcessed(

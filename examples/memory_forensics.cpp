@@ -65,18 +65,21 @@ main()
     }
 
     std::printf("\n=== most-shared host frames ===\n");
-    std::vector<std::pair<Hfn, std::size_t>> top;
-    for (const auto &[hfn, refs] : snap.frames)
-        top.emplace_back(hfn, refs.size());
-    std::sort(top.begin(), top.end(), [](const auto &a, const auto &b) {
-        return a.second > b.second;
-    });
+    // Frame indices by mapping count; ties stay in ascending hfn order.
+    std::vector<std::size_t> top(snap.frameCount());
+    for (std::size_t f = 0; f < top.size(); ++f)
+        top[f] = f;
+    std::stable_sort(top.begin(), top.end(),
+                     [&snap](std::size_t a, std::size_t b) {
+                         return snap.frameRefs(a).size() >
+                                snap.frameRefs(b).size();
+                     });
     for (std::size_t i = 0; i < 5 && i < top.size(); ++i) {
-        const auto &refs = snap.frames.at(top[i].first);
-        const auto *data =
-            &scenario.hv().frames().frame(top[i].first).data;
+        const Hfn hfn = snap.hfns[top[i]];
+        const auto refs = snap.frameRefs(top[i]);
+        const auto *data = &scenario.hv().frames().frame(hfn).data;
         std::printf("frame %llu: %zu mappings, %s, e.g. vm%u pid%u %s\n",
-                    (unsigned long long)top[i].first, top[i].second,
+                    (unsigned long long)hfn, refs.size(),
                     data->isZero() ? "zero page" : "content page",
                     refs[0].vm, refs[0].pid,
                     guest::categoryName(refs[0].category));

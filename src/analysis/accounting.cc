@@ -1,11 +1,11 @@
 #include "analysis/accounting.hh"
 
 #include <algorithm>
+#include <span>
 #include <tuple>
 #include <vector>
 
 #include "base/logging.hh"
-#include "base/thread_pool.hh"
 
 namespace jtps::analysis
 {
@@ -95,74 +95,56 @@ collapseToGuestPages(std::vector<FrameRef> &refs)
     return owner;
 }
 
-/** One frame's collapsed reference list plus its owning page index. */
-struct CollapsedFrame
-{
-    std::vector<FrameRef> pages;
-    std::size_t owner = 0;
-};
-
 /**
- * Copy and collapse every frame's reference list, in the snapshot's
- * frame iteration order. The collapse (sort + dedup per frame) is the
- * hot part of both accountings and is pure per-frame work, so it
- * shards freely; the returned vector preserves snapshot order so the
- * callers' serial accumulation is independent of the thread count.
+ * Collapse one frame's references and pass each surviving guest page
+ * to @p visit(ref, is_owner, guest_pages). A single reference is its
+ * own owner and needs no copy; a shared frame is collapsed in the
+ * reused @p scratch.
  */
-std::vector<CollapsedFrame>
-collapseAllFrames(const Snapshot &snap, unsigned threads)
+template <typename Visit>
+void
+forEachGuestPage(std::span<const FrameRef> refs,
+                 std::vector<FrameRef> &scratch, Visit &&visit)
 {
-    std::vector<CollapsedFrame> out(snap.frames.size());
-    std::size_t i = 0;
-    for (const auto &[hfn, raw_refs] : snap.frames) {
-        (void)hfn;
-        jtps_assert(!raw_refs.empty());
-        out[i++].pages = raw_refs;
+    jtps_assert(!refs.empty());
+    if (refs.size() == 1) {
+        visit(refs[0], true, std::size_t{1});
+        return;
     }
-
-    auto collapse_range = [&out](std::size_t lo, std::size_t hi) {
-        for (std::size_t k = lo; k < hi; ++k)
-            out[k].owner = collapseToGuestPages(out[k].pages);
-    };
-    if (threads > 1 && out.size() > 1) {
-        ThreadPool pool(threads);
-        // A few chunks per worker smooths out size imbalance between
-        // frames while keeping per-job overhead negligible.
-        const std::size_t chunks =
-            std::min<std::size_t>(out.size(),
-                                  static_cast<std::size_t>(threads) * 4);
-        const std::size_t step = (out.size() + chunks - 1) / chunks;
-        for (std::size_t lo = 0; lo < out.size(); lo += step) {
-            const std::size_t hi = std::min(out.size(), lo + step);
-            pool.submit([=]() { collapse_range(lo, hi); });
-        }
-        pool.wait();
-    } else {
-        collapse_range(0, out.size());
-    }
-    return out;
+    scratch.assign(refs.begin(), refs.end());
+    const std::size_t owner = collapseToGuestPages(scratch);
+    for (std::size_t i = 0; i < scratch.size(); ++i)
+        visit(scratch[i], i == owner, scratch.size());
 }
 
 } // namespace
 
-OwnerAccounting::OwnerAccounting(const Snapshot &snap, unsigned threads)
+OwnerAccounting::OwnerAccounting(const Snapshot &snap)
 {
     resident_frames_ = snap.totalResidentFrames;
     overhead_frames_ = snap.overheadFrames;
 
-    const std::vector<CollapsedFrame> collapsed =
-        collapseAllFrames(snap, threads);
-    for (const CollapsedFrame &cf : collapsed) {
-        for (std::size_t i = 0; i < cf.pages.size(); ++i) {
-            const FrameRef &ref = cf.pages[i];
-            ProcessUsage &pu = usage_[{ref.vm, ref.pid}];
-            pu.isJava = ref.isJava;
-            const auto cat = static_cast<std::size_t>(ref.category);
-            if (i == cf.owner)
-                pu.owned[cat] += pageSize;
-            else
-                pu.shared[cat] += pageSize;
-        }
+    std::vector<FrameRef> scratch;
+    // Consecutive references mostly come from one process: keep its
+    // slot instead of looking it up again (map nodes never move).
+    std::pair<VmId, Pid> key{invalidVm, invalidPid};
+    ProcessUsage *pu = nullptr;
+    for (std::size_t f = 0; f < snap.frameCount(); ++f) {
+        forEachGuestPage(
+            snap.frameRefs(f), scratch,
+            [&](const FrameRef &ref, bool is_owner, std::size_t) {
+                if (pu == nullptr || key.first != ref.vm ||
+                    key.second != ref.pid) {
+                    key = {ref.vm, ref.pid};
+                    pu = &usage_[key];
+                }
+                pu->isJava = ref.isJava;
+                const auto cat = static_cast<std::size_t>(ref.category);
+                if (is_owner)
+                    pu->owned[cat] += pageSize;
+                else
+                    pu->shared[cat] += pageSize;
+            });
         attributed_ += pageSize;
     }
 
@@ -207,15 +189,22 @@ OwnerAccounting::vmBreakdown(VmId vm) const
     return bd;
 }
 
-PssAccounting::PssAccounting(const Snapshot &snap, unsigned threads)
+PssAccounting::PssAccounting(const Snapshot &snap)
 {
-    const std::vector<CollapsedFrame> collapsed =
-        collapseAllFrames(snap, threads);
-    for (const CollapsedFrame &cf : collapsed) {
-        const double share =
-            static_cast<double>(pageSize) / cf.pages.size();
-        for (const FrameRef &ref : cf.pages)
-            pss_[{ref.vm, ref.pid}] += share;
+    std::vector<FrameRef> scratch;
+    std::pair<VmId, Pid> key{invalidVm, invalidPid};
+    double *slot = nullptr;
+    for (std::size_t f = 0; f < snap.frameCount(); ++f) {
+        forEachGuestPage(
+            snap.frameRefs(f), scratch,
+            [&](const FrameRef &ref, bool, std::size_t pages) {
+                if (slot == nullptr || key.first != ref.vm ||
+                    key.second != ref.pid) {
+                    key = {ref.vm, ref.pid};
+                    slot = &pss_[key];
+                }
+                *slot += static_cast<double>(pageSize) / pages;
+            });
         total_ += pageSize;
     }
     for (std::uint64_t count : snap.overheadFrames)

@@ -82,16 +82,14 @@ struct VmBreakdown
 /**
  * Owner-oriented accounting over one snapshot.
  *
- * With @p threads > 1 the per-frame collapse (sort + dedup of each
- * frame's reference list — the hot part) is sharded across a
- * ThreadPool; the byte totals are then accumulated serially in the
- * snapshot's frame order, so results are bit-identical at any thread
- * count.
+ * One serial pass over the snapshot's frames, in place: a frame with
+ * a single reference is charged directly, a shared frame is collapsed
+ * to its guest pages in one reused scratch buffer.
  */
 class OwnerAccounting
 {
   public:
-    explicit OwnerAccounting(const Snapshot &snap, unsigned threads = 1);
+    explicit OwnerAccounting(const Snapshot &snap);
 
     /** Usage of one process (must exist in the snapshot). */
     const ProcessUsage &usage(VmId vm, Pid pid) const;
@@ -129,14 +127,14 @@ class OwnerAccounting
 /**
  * Distribution-oriented accounting (PSS) over one snapshot.
  *
- * Same sharding scheme as OwnerAccounting; the floating-point PSS sums
- * are accumulated serially in snapshot order, so they associate in
- * exactly the serial order and stay bit-identical at any thread count.
+ * Same single pass as OwnerAccounting; the floating-point PSS sums
+ * accumulate in ascending hfn order, so they are deterministic for a
+ * given snapshot.
  */
 class PssAccounting
 {
   public:
-    explicit PssAccounting(const Snapshot &snap, unsigned threads = 1);
+    explicit PssAccounting(const Snapshot &snap);
 
     /** PSS of one process in bytes (fractional pages included). */
     double pss(VmId vm, Pid pid) const;

@@ -1,6 +1,5 @@
 #include "analysis/dump_format.hh"
 
-#include <algorithm>
 #include <sstream>
 
 #include "base/logging.hh"
@@ -18,15 +17,9 @@ writeDump(const Snapshot &snap)
     for (VmId v = 0; v < snap.overheadFrames.size(); ++v)
         out << "overhead " << v << " " << snap.overheadFrames[v] << "\n";
 
-    std::vector<Hfn> order;
-    order.reserve(snap.frames.size());
-    for (const auto &kv : snap.frames)
-        order.push_back(kv.first);
-    std::sort(order.begin(), order.end());
-
-    for (Hfn hfn : order) {
-        const auto &refs = snap.frames.at(hfn);
-        out << "frame " << hfn << " " << refs.size() << "\n";
+    for (std::size_t f = 0; f < snap.frameCount(); ++f) {
+        const auto refs = snap.frameRefs(f);
+        out << "frame " << snap.hfns[f] << " " << refs.size() << "\n";
         for (const FrameRef &r : refs) {
             out << "ref " << r.vm << " " << r.gfn << " " << r.pid << " "
                 << (r.isJava ? 1 : 0) << " "
@@ -58,7 +51,6 @@ parseDump(const std::string &text)
 
     bool got_header = false;
     bool got_end = false;
-    Hfn current_frame = invalidFrame;
     std::size_t refs_expected = 0;
 
     while (std::getline(in, line)) {
@@ -93,11 +85,15 @@ parseDump(const std::string &text)
         } else if (keyword == "frame") {
             if (refs_expected != 0)
                 badDump(line_no, "previous frame incomplete");
+            Hfn hfn = 0;
             std::size_t nrefs = 0;
-            if (!(tokens >> current_frame >> nrefs) || nrefs == 0)
+            if (!(tokens >> hfn >> nrefs) || nrefs == 0)
                 badDump(line_no, "bad frame line");
+            if (!snap.hfns.empty() && hfn <= snap.hfns.back())
+                badDump(line_no, "frames not in ascending hfn order");
             refs_expected = nrefs;
-            snap.frames[current_frame].reserve(nrefs);
+            snap.hfns.push_back(hfn);
+            snap.offsets.push_back(snap.refs.size() + nrefs);
         } else if (keyword == "ref") {
             if (refs_expected == 0)
                 badDump(line_no, "ref outside frame");
@@ -110,7 +106,7 @@ parseDump(const std::string &text)
             }
             ref.isJava = is_java != 0;
             ref.category = static_cast<guest::MemCategory>(category);
-            snap.frames[current_frame].push_back(ref);
+            snap.refs.push_back(ref);
             --refs_expected;
         } else if (keyword == "end") {
             if (refs_expected != 0)

@@ -18,6 +18,9 @@
  *   frame <hfn> <nrefs>
  *   ref <vm> <gfn> <pid> <is_java 0|1> <category>
  *   end <total_resident_frames>
+ *
+ * Frame lines appear in strictly ascending hfn order, each followed by
+ * its <nrefs> ref lines.
  */
 
 #ifndef JTPS_ANALYSIS_DUMP_FORMAT_HH
@@ -31,7 +34,7 @@ namespace jtps::analysis
 {
 
 /** Serialize a snapshot to the dump format. Deterministic: frames are
- *  emitted in ascending hfn order. */
+ *  emitted in the snapshot's ascending hfn order. */
 std::string writeDump(const Snapshot &snap);
 
 /**

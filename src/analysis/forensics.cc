@@ -15,13 +15,17 @@ namespace
 /**
  * Walk one guest's processes (layers 1+2): resolve every mapped vpage
  * to a host frame and record the reference. Appending to an ordered
- * vector instead of the shared frames map keeps the shard free of
- * shared mutable state.
+ * vector instead of a shared structure keeps the shard free of shared
+ * mutable state.
  */
 std::vector<std::pair<Hfn, FrameRef>>
 walkGuest(const hv::Hypervisor &hv, const guest::GuestOs &os)
 {
     std::vector<std::pair<Hfn, FrameRef>> out;
+    std::size_t mapped = 0;
+    for (const auto &proc : os.processes())
+        mapped += proc->pageTable.size();
+    out.reserve(mapped);
     const VmId vm_id = os.vmId();
     for (const auto &proc : os.processes()) {
         for (const auto &vma : proc->vmas) {
@@ -78,13 +82,34 @@ captureSnapshot(const hv::Hypervisor &hv,
     if (stats)
         stats->inc("forensics.walk_shards", guests.size());
 
-    // Deterministic reduce: replay the serial walk's insertion sequence
-    // (guests in VM order, pages in walk order), so the unordered_map
-    // ends up structurally identical to a serial capture and every
-    // downstream iteration over it sees the same order.
-    for (std::size_t g = 0; g < per_guest.size(); ++g)
-        for (const auto &[hfn, ref] : per_guest[g])
-            snap.frames[hfn].push_back(ref);
+    // Deterministic reduce: one stable counting sort by hfn. Shards are
+    // taken in VM order and each in walk order, so every frame keeps the
+    // serial walk's reference order. cursor[hfn] first counts the
+    // frame's references, then becomes its next free slot in refs.
+    const std::uint64_t capacity = hv.frames().capacity();
+    std::vector<std::size_t> cursor(capacity, 0);
+    for (const auto &shard : per_guest) {
+        for (const auto &[hfn, ref] : shard) {
+            jtps_assert(hfn < capacity);
+            ++cursor[hfn];
+        }
+    }
+    std::size_t total = 0;
+    for (Hfn hfn = 0; hfn < capacity; ++hfn) {
+        const std::size_t count = cursor[hfn];
+        if (count == 0)
+            continue;
+        snap.hfns.push_back(hfn);
+        cursor[hfn] = total;
+        total += count;
+        snap.offsets.push_back(total);
+    }
+    snap.refs.resize(total);
+    for (auto &shard : per_guest) {
+        for (const auto &[hfn, ref] : shard)
+            snap.refs[cursor[hfn]++] = ref;
+        shard = {}; // release as we go: keeps the peak near one copy
+    }
     return snap;
 }
 

@@ -18,8 +18,9 @@
 #ifndef JTPS_ANALYSIS_FORENSICS_HH
 #define JTPS_ANALYSIS_FORENSICS_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "base/stats.hh"
@@ -43,20 +44,39 @@ struct FrameRef
 };
 
 /**
- * A captured snapshot: every resident host frame with the guest
+ * A captured snapshot: every mapped host frame with the guest
  * references that map it, plus the hypervisor-private (VM process
  * overhead) frames per VM.
+ *
+ * The frames are stored flat, in compressed-sparse-row form: frame i
+ * is host frame hfns[i] (ascending, no duplicates) and its references
+ * are refs[offsets[i], offsets[i+1]). Within a frame the references
+ * keep walk order: guests in VM order, pages in walk order.
  */
 struct Snapshot
 {
-    /** frame -> references from guest process mappings. */
-    std::unordered_map<Hfn, std::vector<FrameRef>> frames;
+    /** Distinct mapped host frames, ascending. */
+    std::vector<Hfn> hfns;
+    /** frameCount() + 1 row boundaries into refs. */
+    std::vector<std::size_t> offsets = {0};
+    /** Every frame's references, frame after frame. */
+    std::vector<FrameRef> refs;
     /** VM-overhead (pinned) frame counts per VM id. */
     std::vector<std::uint64_t> overheadFrames;
     /** Total resident frames on the host at capture time. */
     std::uint64_t totalResidentFrames = 0;
     /** Number of guests walked. */
     std::size_t vmCount = 0;
+
+    /** Number of distinct mapped frames. */
+    std::size_t frameCount() const { return hfns.size(); }
+
+    /** The references of frame @p i (never empty). */
+    std::span<const FrameRef>
+    frameRefs(std::size_t i) const
+    {
+        return {refs.data() + offsets[i], offsets[i + 1] - offsets[i]};
+    }
 };
 
 /**
@@ -65,10 +85,10 @@ struct Snapshot
  * The walk shards per guest: each VM's vpn → gfn → hfn resolution is
  * an independent read-only task, fanned out across a ThreadPool when
  * @p threads > 1 (the bench::sweep pattern). Every shard records its
- * (frame, reference) pairs in walk order and the main thread reduces
- * them in fixed VM order, so the Snapshot — including the frames map's
- * iteration order, which downstream accounting observes — is
- * byte-identical at any thread count.
+ * (frame, reference) pairs in walk order; the main thread then groups
+ * them by frame with one stable counting sort over the host's frame
+ * numbers, taking the shards in fixed VM order, so the Snapshot is
+ * identical at any thread count.
  *
  * @param hv The hypervisor (host layer + EPTs).
  * @param guests One GuestOs per VM, indexed by VmId.

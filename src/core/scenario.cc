@@ -305,7 +305,7 @@ analysis::OwnerAccounting
 Scenario::account()
 {
     analysis::Snapshot snap = snapshot();
-    return analysis::OwnerAccounting(snap, cfg_.analysisThreads);
+    return analysis::OwnerAccounting(snap);
 }
 
 std::vector<std::string>

@@ -110,10 +110,10 @@ struct ScenarioConfig
     bool guestThp = false;
 
     /**
-     * Worker threads for the forensics walk and accounting collapse in
-     * snapshot()/account(). Results are byte-identical at any value
-     * (the reduce replays the serial order); 1 keeps analysis fully
-     * serial.
+     * Worker threads for the per-guest forensics walk in snapshot()
+     * (and so account()). The snapshot is identical at any value (the
+     * reduce takes the guests in VM order); 1 walks serially. The
+     * accounting itself is always one serial pass.
      */
     unsigned analysisThreads = 1;
 

@@ -5,7 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
+#include <set>
+#include <tuple>
+
 #include "analysis/accounting.hh"
+#include "analysis/dump_format.hh"
 #include "analysis/forensics.hh"
 #include "analysis/report.hh"
 #include "base/stats.hh"
@@ -53,12 +60,36 @@ struct AnalysisFixture : ::testing::Test
     }
 
     Snapshot
-    capture()
+    capture(unsigned threads = 1, StatSet *walk_stats = nullptr)
     {
         std::vector<const GuestOs *> ptrs;
         for (const auto &g : guests)
             ptrs.push_back(g.get());
-        return analysis::captureSnapshot(*hv, ptrs);
+        return analysis::captureSnapshot(*hv, ptrs, threads, walk_stats);
+    }
+
+    /** Three guests with shared and private content, overhead frames
+     *  and KSM sharing in play, so the walk sees every reference shape. */
+    void
+    buildSharedGuests()
+    {
+        for (int i = 0; i < 3; ++i) {
+            GuestOs &os = addGuest(64 * KiB);
+            Pid java = os.spawn("java", true);
+            Vma *heap = os.mmapAnon(java, 256 * KiB, MemCategory::JavaHeap,
+                                    "heap");
+            for (std::uint64_t p = 0; p < heap->numPages; ++p)
+                os.writePage(heap, p, PageData::filled(p % 5, p % 3));
+            Pid d = os.spawn("daemon", false);
+            Vma *w = os.mmapAnon(d, 64 * KiB, MemCategory::JvmWork, "w");
+            for (std::uint64_t p = 0; p < w->numPages; ++p)
+                os.writePage(w, p, PageData::filled(40 + i, p));
+            FileImage lib = FileImage::shared("/lib.so", 16 * KiB);
+            Vma *code = os.mmapFile(java, lib, MemCategory::Code);
+            for (std::uint64_t p = 0; p < code->numPages; ++p)
+                os.touch(code, p);
+        }
+        hv->collapseIdenticalPages();
     }
 };
 
@@ -73,7 +104,7 @@ TEST_F(AnalysisFixture, WalkFindsResidentPagesOnly)
     os.writeWord(vma, 5, 0, 1);
 
     Snapshot snap = capture();
-    EXPECT_EQ(snap.frames.size(), 2u);
+    EXPECT_EQ(snap.frameCount(), 2u);
     EXPECT_EQ(snap.totalResidentFrames, 2u);
 }
 
@@ -267,76 +298,274 @@ TEST_F(AnalysisFixture, SwappedPagesAreNotPhysicalUsage)
 
     std::vector<const GuestOs *> ptrs = {&os};
     Snapshot snap = analysis::captureSnapshot(small_hv, ptrs);
-    EXPECT_EQ(snap.frames.size(), 8u);
+    EXPECT_EQ(snap.frameCount(), 8u);
     OwnerAccounting acct(snap);
     EXPECT_EQ(acct.attributedBytes(), 8 * pageSize);
 }
 
 TEST_F(AnalysisFixture, ParallelWalkIsIdenticalToSerial)
 {
-    // Shared and private content across three guests, with overhead
-    // frames and KSM sharing in play, so the walk exercises every
-    // reference shape.
-    for (int i = 0; i < 3; ++i) {
-        GuestOs &os = addGuest(64 * KiB);
-        Pid java = os.spawn("java", true);
-        Vma *heap = os.mmapAnon(java, 256 * KiB, MemCategory::JavaHeap,
-                                "heap");
-        for (std::uint64_t p = 0; p < heap->numPages; ++p)
-            os.writePage(heap, p, PageData::filled(p % 5, p % 3));
-        Pid d = os.spawn("daemon", false);
-        Vma *w = os.mmapAnon(d, 64 * KiB, MemCategory::JvmWork, "w");
-        for (std::uint64_t p = 0; p < w->numPages; ++p)
-            os.writePage(w, p, PageData::filled(40 + i, p));
+    buildSharedGuests();
+
+    const Snapshot serial = capture(1);
+    // The flat layout's own invariants: strictly ascending frames, one
+    // row boundary more than frames, no empty row, and references in
+    // walk order (guests in VM order) within each frame.
+    ASSERT_EQ(serial.offsets.size(), serial.frameCount() + 1);
+    EXPECT_EQ(serial.offsets.front(), 0u);
+    EXPECT_EQ(serial.offsets.back(), serial.refs.size());
+    EXPECT_EQ(serial.frameCount(),
+              serial.totalResidentFrames - 3 * (64 * KiB / pageSize));
+    bool saw_shared = false;
+    for (std::size_t f = 0; f < serial.frameCount(); ++f) {
+        if (f > 0) {
+            ASSERT_LT(serial.hfns[f - 1], serial.hfns[f]);
+        }
+        const auto refs = serial.frameRefs(f);
+        ASSERT_FALSE(refs.empty());
+        saw_shared = saw_shared || refs.size() > 1;
+        for (std::size_t r = 1; r < refs.size(); ++r)
+            ASSERT_LE(refs[r - 1].vm, refs[r].vm);
     }
-    hv->collapseIdenticalPages();
+    EXPECT_TRUE(saw_shared);
 
-    Snapshot serial = capture(); // threads = 1
-    std::vector<const GuestOs *> ptrs;
-    for (const auto &g : guests)
-        ptrs.push_back(g.get());
-    StatSet walk_stats;
-    Snapshot par = analysis::captureSnapshot(*hv, ptrs, 4, &walk_stats);
-    EXPECT_EQ(walk_stats.get("forensics.walk_shards"), 3u);
-
-    ASSERT_EQ(par.totalResidentFrames, serial.totalResidentFrames);
-    ASSERT_EQ(par.overheadFrames, serial.overheadFrames);
-    ASSERT_EQ(par.vmCount, serial.vmCount);
-    ASSERT_EQ(par.frames.size(), serial.frames.size());
-    // The deterministic reduce replays shard results in fixed VM order,
-    // so not only the contents but the frames map's *iteration order*
-    // (which downstream accounting observes) must match the serial walk.
-    auto ps = serial.frames.begin();
-    auto pp = par.frames.begin();
-    for (; ps != serial.frames.end(); ++ps, ++pp) {
-        ASSERT_EQ(pp->first, ps->first);
-        ASSERT_EQ(pp->second, ps->second);
+    for (unsigned width : {2u, 4u}) {
+        SCOPED_TRACE(width);
+        StatSet walk_stats;
+        const Snapshot par = capture(width, &walk_stats);
+        EXPECT_EQ(walk_stats.get("forensics.walk_shards"), 3u);
+        EXPECT_EQ(par.hfns, serial.hfns);
+        EXPECT_EQ(par.offsets, serial.offsets);
+        EXPECT_EQ(par.refs, serial.refs);
+        EXPECT_EQ(par.overheadFrames, serial.overheadFrames);
+        EXPECT_EQ(par.totalResidentFrames, serial.totalResidentFrames);
+        EXPECT_EQ(par.vmCount, serial.vmCount);
     }
 }
 
-TEST_F(AnalysisFixture, ParallelAccountingIsBitIdenticalToSerial)
+TEST_F(AnalysisFixture, AccountingIsUnchangedAcrossWalkWidths)
 {
-    for (int i = 0; i < 4; ++i) {
-        GuestOs &os = addGuest(32 * KiB);
-        Pid java = os.spawn("java", true);
-        Vma *heap = os.mmapAnon(java, 128 * KiB, MemCategory::JavaHeap,
-                                "heap");
-        for (std::uint64_t p = 0; p < heap->numPages; ++p)
-            os.writePage(heap, p, PageData::filled(p % 7, p % 2));
+    buildSharedGuests();
+    const Snapshot s1 = capture(1);
+    const OwnerAccounting o1(s1);
+    const PssAccounting p1(s1);
+    EXPECT_EQ(o1.attributedBytes(), o1.residentBytes());
+
+    for (unsigned width : {2u, 4u}) {
+        SCOPED_TRACE(width);
+        const Snapshot sn = capture(width);
+        const OwnerAccounting on(sn);
+        EXPECT_EQ(on.attributedBytes(), o1.attributedBytes());
+        EXPECT_EQ(on.residentBytes(), o1.residentBytes());
+        EXPECT_EQ(on.processes(), o1.processes());
+
+        // PSS sums are floating point; the same snapshot summed in the
+        // same hfn order is bit-identical, not merely close.
+        const PssAccounting pn(sn);
+        EXPECT_EQ(pn.totalBytes(), p1.totalBytes());
+        EXPECT_EQ(pn.processes(), p1.processes());
     }
-    hv->collapseIdenticalPages();
-    Snapshot snap = capture();
+}
 
-    OwnerAccounting o1(snap);
-    OwnerAccounting o4(snap, 4);
-    EXPECT_EQ(o4.attributedBytes(), o1.attributedBytes());
-    EXPECT_EQ(o4.residentBytes(), o1.residentBytes());
-    EXPECT_EQ(o4.processes(), o1.processes());
+TEST_F(AnalysisFixture, DumpRoundTripYieldsIdenticalArrays)
+{
+    buildSharedGuests();
+    const Snapshot snap = capture();
+    const Snapshot parsed = analysis::parseDump(analysis::writeDump(snap));
+    EXPECT_EQ(parsed.hfns, snap.hfns);
+    EXPECT_EQ(parsed.offsets, snap.offsets);
+    EXPECT_EQ(parsed.refs, snap.refs);
+    EXPECT_EQ(parsed.overheadFrames, snap.overheadFrames);
+    EXPECT_EQ(parsed.totalResidentFrames, snap.totalResidentFrames);
+    EXPECT_EQ(parsed.vmCount, snap.vmCount);
+}
 
-    // PSS sums are floating point; the serial-order accumulation makes
-    // them bit-identical at any thread count, not merely close.
-    PssAccounting p1(snap);
-    PssAccounting p4(snap, 4);
-    EXPECT_EQ(p4.totalBytes(), p1.totalBytes());
-    EXPECT_EQ(p4.processes(), p1.processes());
+TEST(AnalysisEmpty, DefaultSnapshotAccountsToZero)
+{
+    const Snapshot empty;
+    EXPECT_EQ(empty.frameCount(), 0u);
+    EXPECT_EQ(empty.offsets, std::vector<std::size_t>{0});
+    const OwnerAccounting owner(empty);
+    EXPECT_EQ(owner.attributedBytes(), 0u);
+    EXPECT_TRUE(owner.processes().empty());
+    EXPECT_EQ(PssAccounting(empty).totalBytes(), 0.0);
+}
+
+namespace
+{
+
+using ProcKey = std::pair<VmId, Pid>;
+using FrameMap = std::map<Hfn, std::vector<FrameRef>>;
+
+/** The accountings as the paper states them, one frame at a time,
+ *  over a plain map of reference vectors. */
+struct NaiveAccounting
+{
+    std::map<ProcKey, analysis::ProcessUsage> usage;
+    std::map<ProcKey, double> pss;
+    Bytes attributed = 0;
+    double pssTotal = 0;
+
+    NaiveAccounting(const FrameMap &frames,
+                    const std::vector<std::uint64_t> &overhead)
+    {
+        // Representative of a guest page: a Java mapper, else a user
+        // process, else the kernel; the smallest pid among equals.
+        auto rank = [](const FrameRef &r) {
+            return std::make_pair(r.isJava ? 0 : (r.pid > 0 ? 1 : 2),
+                                  r.pid);
+        };
+        // Owner among guest pages: Java first, then the smallest pid,
+        // vm, and (one process reaching the frame twice) gfn.
+        auto owner_rank = [](const FrameRef &r) {
+            return std::make_tuple(r.isJava ? 0 : 1, r.pid, r.vm, r.gfn);
+        };
+        for (const auto &[hfn, refs] : frames) {
+            std::map<std::pair<VmId, Gfn>, FrameRef> pages;
+            for (const FrameRef &r : refs) {
+                auto [it, fresh] = pages.try_emplace({r.vm, r.gfn}, r);
+                if (!fresh && rank(r) < rank(it->second))
+                    it->second = r;
+            }
+            const FrameRef *owner = nullptr;
+            for (const auto &[page, r] : pages) {
+                if (owner == nullptr || owner_rank(r) < owner_rank(*owner))
+                    owner = &r;
+            }
+            for (const auto &[page, r] : pages) {
+                analysis::ProcessUsage &pu = usage[{r.vm, r.pid}];
+                pu.isJava = r.isJava;
+                const auto cat = static_cast<std::size_t>(r.category);
+                (&r == owner ? pu.owned : pu.shared)[cat] += pageSize;
+                pss[{r.vm, r.pid}] +=
+                    static_cast<double>(pageSize) / pages.size();
+            }
+            attributed += pageSize;
+            pssTotal += pageSize;
+        }
+        for (std::uint64_t count : overhead) {
+            attributed += pagesToBytes(count);
+            pssTotal += static_cast<double>(pagesToBytes(count));
+        }
+    }
+};
+
+/** Which reference shapes a random snapshot ended up containing. */
+struct ShapeCoverage
+{
+    std::size_t singleRef = 0;     //!< frames with one reference
+    std::size_t multiRef = 0;      //!< frames with several references
+    std::size_t intraAlias = 0;    //!< guest pages with several mappers
+    std::size_t twoGfns = 0;       //!< a process reaching a frame twice
+    std::size_t samePidVms = 0;    //!< one pid from two VMs in a frame
+};
+
+/**
+ * A random snapshot in the shape the walk produces: every (vm, gfn)
+ * backs exactly one frame, each process has a fixed Java flag, pid 0
+ * is the non-Java kernel, and pids repeat across VMs.
+ */
+FrameMap
+randomFrames(std::mt19937_64 &rng, std::size_t vms, ShapeCoverage &cov)
+{
+    constexpr Pid pids = 5;
+    std::vector<std::vector<bool>> is_java(vms, std::vector<bool>(pids));
+    for (auto &vm : is_java)
+        for (Pid p = 1; p < pids; ++p)
+            vm[p] = rng() % 3 == 0;
+    std::vector<Gfn> next_gfn(vms, 0);
+    auto pick = [&](std::uint64_t n) { return rng() % n; };
+    auto ref = [&](VmId vm, Gfn gfn, Pid pid) {
+        return FrameRef{vm, gfn, pid, is_java[vm][pid],
+                        static_cast<MemCategory>(
+                            pick(guest::numMemCategories))};
+    };
+
+    FrameMap frames;
+    Hfn hfn = pick(8);
+    for (int f = 0; f < 400; ++f, hfn += 1 + pick(40)) {
+        std::vector<FrameRef> &refs = frames[hfn];
+        const std::size_t pages = pick(3) == 0 ? 1 : 1 + pick(4);
+        for (std::size_t p = 0; p < pages; ++p) {
+            VmId vm = static_cast<VmId>(pick(vms));
+            std::vector<Pid> mappers;
+            // Sometimes the same process maps this frame through a
+            // second guest page of the same VM.
+            if (p > 0 && pick(3) == 0) {
+                vm = refs.back().vm;
+                mappers.push_back(refs.back().pid);
+            }
+            const Gfn gfn = next_gfn[vm]++;
+            const std::size_t extra = pick(4) == 0 ? 1 + pick(2) : 0;
+            while (mappers.size() < 1 + extra) {
+                const Pid pid = static_cast<Pid>(pick(pids));
+                if (std::find(mappers.begin(), mappers.end(), pid) ==
+                    mappers.end())
+                    mappers.push_back(pid);
+            }
+            for (Pid pid : mappers)
+                refs.push_back(ref(vm, gfn, pid));
+        }
+        std::shuffle(refs.begin(), refs.end(), rng);
+
+        (refs.size() == 1 ? cov.singleRef : cov.multiRef)++;
+        std::map<std::pair<VmId, Gfn>, int> per_page;
+        std::map<ProcKey, std::set<Gfn>> per_proc;
+        std::map<Pid, std::set<VmId>> per_pid;
+        for (const FrameRef &r : refs) {
+            ++per_page[{r.vm, r.gfn}];
+            per_proc[{r.vm, r.pid}].insert(r.gfn);
+            per_pid[r.pid].insert(r.vm);
+        }
+        for (const auto &[page, n] : per_page)
+            cov.intraAlias += n > 1;
+        for (const auto &[proc, gfns] : per_proc)
+            cov.twoGfns += gfns.size() > 1;
+        for (const auto &[pid, in_vms] : per_pid)
+            cov.samePidVms += in_vms.size() > 1;
+    }
+    return frames;
+}
+
+} // namespace
+
+TEST(AccountingProperty, FlatAccountingMatchesNaiveOracle)
+{
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        SCOPED_TRACE(seed);
+        std::mt19937_64 rng(seed);
+        const std::size_t vms = 2 + rng() % 3;
+        ShapeCoverage cov;
+        const FrameMap frames = randomFrames(rng, vms, cov);
+        EXPECT_GT(cov.singleRef, 0u);
+        EXPECT_GT(cov.multiRef, 0u);
+        EXPECT_GT(cov.intraAlias, 0u);
+        EXPECT_GT(cov.twoGfns, 0u);
+        EXPECT_GT(cov.samePidVms, 0u);
+
+        Snapshot snap;
+        snap.vmCount = vms;
+        for (std::size_t v = 0; v < vms; ++v)
+            snap.overheadFrames.push_back(rng() % 16);
+        snap.totalResidentFrames = frames.size();
+        for (std::uint64_t count : snap.overheadFrames)
+            snap.totalResidentFrames += count;
+        for (const auto &[hfn, refs] : frames) {
+            snap.hfns.push_back(hfn);
+            snap.refs.insert(snap.refs.end(), refs.begin(), refs.end());
+            snap.offsets.push_back(snap.refs.size());
+        }
+
+        const NaiveAccounting oracle(frames, snap.overheadFrames);
+        const OwnerAccounting owner(snap);
+        EXPECT_EQ(owner.processes(), oracle.usage);
+        EXPECT_EQ(owner.attributedBytes(), oracle.attributed);
+        EXPECT_EQ(owner.attributedBytes(), owner.residentBytes());
+
+        // Both sum the same per-page shares frame by frame in
+        // ascending hfn order, so the doubles match exactly.
+        const PssAccounting pss(snap);
+        EXPECT_EQ(pss.processes(), oracle.pss);
+        EXPECT_EQ(pss.totalBytes(), oracle.pssTotal);
+    }
 }

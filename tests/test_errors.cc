@@ -88,6 +88,21 @@ TEST(ErrorDeathTest, MalformedDumpsAreRejected)
         ::testing::ExitedWithCode(1), "bad ref");
 }
 
+TEST(ErrorDeathTest, DumpFramesMustAscend)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    // A frame whose hfn repeats or falls below the previous one would
+    // split one frame's references across two rows.
+    EXPECT_EXIT(
+        analysis::parseDump("jtpsdump 1\nframe 5 1\nref 0 0 0 1 0\n"
+                            "frame 5 1\nref 0 1 0 1 0\nend 1\n"),
+        ::testing::ExitedWithCode(1), "malformed dump at line 4");
+    EXPECT_EXIT(
+        analysis::parseDump("jtpsdump 1\nframe 5 1\nref 0 0 0 1 0\n"
+                            "frame 3 1\nref 0 1 0 1 0\nend 2\n"),
+        ::testing::ExitedWithCode(1), "ascending hfn order");
+}
+
 TEST(ErrorDeathTest, WriteWordSectorBoundsArePanics)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";

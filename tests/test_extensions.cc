@@ -140,7 +140,7 @@ TEST_F(ExtFixture, DumpRoundTripPreservesAccounting)
 
     EXPECT_EQ(parsed.vmCount, snap.vmCount);
     EXPECT_EQ(parsed.totalResidentFrames, snap.totalResidentFrames);
-    EXPECT_EQ(parsed.frames.size(), snap.frames.size());
+    EXPECT_EQ(parsed.frameCount(), snap.frameCount());
 
     analysis::OwnerAccounting a(snap), b(parsed);
     EXPECT_EQ(a.attributedBytes(), b.attributedBytes());

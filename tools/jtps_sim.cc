@@ -98,8 +98,8 @@ usage(const char *argv0)
         "  --csv           CSV output where available\n"
         "  --json FILE     write the full run document as JSON\n"
         "  --trace FILE    record a structured event trace, write JSON\n"
-        "  --analysis-threads N  shard the forensics walk/accounting\n"
-        "                  across N threads (same bytes at any N)\n"
+        "  --analysis-threads N  walk the guests for end-of-run\n"
+        "                  forensics on N threads (same bytes at any N)\n"
         "  --ksm-threads N  classify KSM scan batches on N threads\n"
         "                  (merges/counters identical at any N)\n"
         "  --ksm-commit-shards S  commit KSM batches as S digest\n"
@@ -198,6 +198,8 @@ parse(int argc, char **argv)
     }
     if (opt.vms < 1 || opt.vms > 256)
         fatal("--vms must be in [1, 256]");
+    if (opt.hostRam == 0)
+        fatal("--ram must be at least 1 (GiB of host RAM)");
     if (opt.ksmCommitShards < 1 || opt.ksmCommitShards > 64 ||
         64 % opt.ksmCommitShards != 0)
         fatal("--ksm-commit-shards must divide 64 (1, 2, 4, ..., 64)");
