@@ -1,15 +1,16 @@
 /**
  * @file
- * 256-VM boot storm: cold first-pass convergence wall time with the
- * scanner's lane-parallel content kernels on vs. off (headline bench
- * for the batched classify stage), plus a migration-arrival variant.
+ * 256-VM boot storm: cold first-pass convergence wall time across KSM
+ * commit-shard counts, plus a migration-arrival variant and the
+ * content-kernel microbench behind the scanner's staged visits.
  *
  * A boot storm is the cold-path worst case the dirty-log machinery
  * cannot help: every page is first-touch, so every visit pays the full
  * checksum (and usually digest) chain. The batch stage attacks exactly
  * that cost — the serial hashCombine chain is latency-bound on three
  * dependent multiplies, so interleaving independent pages turns the
- * cold pass throughput-bound.
+ * cold pass throughput-bound; the scanner stages every visit through
+ * 16-page kernel windows.
  *
  * Three measurements:
  *
@@ -17,18 +18,17 @@
  *      scalar checksum()+digest() pair vs. checksumBatch()+digestBatch()
  *      over the same pages (the acceptance floor is 2x here);
  *   2. cold convergence — build the full host (no warm-up run: all
- *      pages cold) and time runToQuiescence(), batch window 16 vs. 1;
+ *      pages cold) and time runToQuiescence() at 1, 2 and 4 commit
+ *      shards (the sharded commit's pool is that many workers wide);
  *   3. migration arrival — add fresh VMs to the converged host and
  *      time re-convergence (the cluster layer's arrival regime).
  *
  * Identity gate BEFORE any timing is reported: the full stat registry
  * (minus the documented machine-sizing counters) and a hash of the
- * complete trace stream must be byte-identical across the whole
- * batch x scan-thread x commit-shard matrix. argv: [vms] [arrivals]
- * (defaults 256 and 8; CI runs a reduced host).
+ * complete trace stream must be byte-identical at every shard count.
+ * argv: [vms] [arrivals] (defaults 256 and 8; CI runs a reduced host).
  */
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -128,14 +128,6 @@ benchColdContentKernels()
     return kb;
 }
 
-/** One scanner configuration of the identity/timing matrix. */
-struct MatrixPoint
-{
-    std::uint32_t batch;
-    unsigned threads;
-    unsigned shards;
-};
-
 struct StormResult
 {
     double coldMs = 0.0;    //!< cold boot-storm convergence wall time
@@ -169,23 +161,21 @@ hostSpecs(std::size_t count)
 }
 
 core::ScenarioConfig
-stormConfig(std::size_t vms, const MatrixPoint &p)
+stormConfig(std::size_t vms, unsigned shards)
 {
     core::ScenarioConfig cfg = bench::paperConfig(true);
     cfg.host.ramBytes = vms * 640ULL * MiB;
-    // The three knobs under test; everything else identical.
-    cfg.ksmBatchPages = p.batch;
-    cfg.ksmScanThreads = p.threads;
-    cfg.ksmCommitShards = p.shards;
+    // The knob under test; everything else identical.
+    cfg.ksmCommitShards = shards;
     return cfg;
 }
 
 /**
  * Full stat registry plus a fold of the entire trace stream, minus the
- * documented machine-sizing counters — the scan-thread, commit-shard
+ * documented machine-sizing counters — the commit-shard, split-only
  * and batch-window accounting that follows the pipeline shape
- * (docs/METRICS.md). Everything else must match bytewise across the
- * whole matrix.
+ * (docs/METRICS.md). Everything else must match bytewise at every
+ * shard count.
  */
 std::string
 identitySignature(core::Scenario &sc)
@@ -231,9 +221,9 @@ identitySignature(core::Scenario &sc)
 }
 
 StormResult
-measure(std::size_t vms, std::size_t arrivals, const MatrixPoint &p)
+measure(std::size_t vms, std::size_t arrivals, unsigned shards)
 {
-    core::Scenario sc(stormConfig(vms, p), hostSpecs(vms));
+    core::Scenario sc(stormConfig(vms, shards), hostSpecs(vms));
     sc.build();
     // No run(): the host is exactly as the boot storm left it — every
     // resident page cold, never visited. Trace the whole convergence
@@ -289,77 +279,42 @@ main(int argc, char **argv)
     std::printf("Boot storm — %zu VMs cold on one %zu MiB host, then "
                 "%zu migration arrivals\n\n",
                 vms, vms * 640, arrivals);
-    std::printf("%-6s %-8s %-7s %12s %12s %12s %12s\n", "batch",
-                "threads", "shards", "cold ms", "arrival ms",
-                "sharing pg", "kernel pg");
-    std::printf("%s\n", std::string(76, '-').c_str());
+    std::printf("%-7s %12s %12s %12s %12s\n", "shards", "cold ms",
+                "arrival ms", "sharing pg", "kernel pg");
+    std::printf("%s\n", std::string(60, '-').c_str());
 
-    // The matrix: batch window on/off at every scan-thread /
-    // commit-shard shape the scanner supports in this sweep. Index 0
-    // is the all-serial unbatched baseline every signature must match.
-    const std::vector<MatrixPoint> points = {
-        {1, 1, 1},  {16, 1, 1}, {1, 4, 1},  {16, 4, 1},
-        {1, 4, 4},  {16, 4, 4}, {1, 1, 4},  {16, 1, 4},
-    };
-    std::vector<StormResult> results(points.size());
-    bool identical = true;
-    for (std::size_t i = 0; i < points.size(); ++i) {
+    // Index 0 is the default S = 1 scanner every signature must match.
+    const unsigned points[3] = {1, 2, 4};
+    StormResult results[3];
+    for (int i = 0; i < 3; ++i) {
         results[i] = measure(vms, arrivals, points[i]);
-        // The identity gate: a configuration that changed ANY
-        // observable beyond the sizing counters invalidates the bench.
+        // The identity gate: a shard count that changed ANY observable
+        // beyond the sizing counters invalidates the bench.
         if (i > 0 && (results[i].coldSig != results[0].coldSig ||
                       results[i].finalSig != results[0].finalSig)) {
-            identical = false;
             std::fprintf(stderr,
-                         "FAIL: registry/trace at batch=%u threads=%u "
-                         "shards=%u diverged from the serial unbatched "
-                         "baseline\n",
-                         points[i].batch, points[i].threads,
-                         points[i].shards);
+                         "FAIL: registry/trace at %u commit shards "
+                         "diverged from the S = 1 baseline\n",
+                         points[i]);
             return 1;
         }
-        std::printf("%-6u %-8u %-7u %12.0f %12.0f %12llu %12llu\n",
-                    points[i].batch, points[i].threads,
-                    points[i].shards, results[i].coldMs,
-                    results[i].arrivalMs,
+        std::printf("%-7u %12.0f %12.0f %12llu %12llu\n", points[i],
+                    results[i].coldMs, results[i].arrivalMs,
                     (unsigned long long)results[i].pagesSharing,
                     (unsigned long long)results[i].batchKernelPages);
         std::fflush(stdout);
     }
 
-    // Headline ratios: serial pair isolates the kernel win; the
-    // parallel pair shows it survives under the two-phase scan. The
-    // serial cold pair is the CI-asserted figure, so re-measure it
-    // best-of-3 (fresh host per rep) to keep scheduler noise on a
-    // loaded runner from drowning the kernel signal.
-    for (int rep = 0; rep < 2; ++rep)
-        for (std::size_t i : {std::size_t{0}, std::size_t{1}}) {
-            const StormResult r = measure(vms, arrivals, points[i]);
-            if (r.coldSig != results[0].coldSig ||
-                r.finalSig != results[0].finalSig) {
-                std::fprintf(stderr, "FAIL: best-of rep diverged\n");
-                return 1;
-            }
-            results[i].coldMs = std::min(results[i].coldMs, r.coldMs);
-            results[i].arrivalMs =
-                std::min(results[i].arrivalMs, r.arrivalMs);
-        }
-    const double coldSerial = results[0].coldMs / results[1].coldMs;
-    const double coldParallel = results[4].coldMs / results[5].coldMs;
-    const double arrivalSerial =
-        results[0].arrivalMs / results[1].arrivalMs;
-    std::printf("\ncold-convergence speedup: x%.2f serial, x%.2f at 4 "
-                "threads / 4 shards; arrival x%.2f "
-                "(byte-identical registries+traces: %s)\n",
-                coldSerial, coldParallel, arrivalSerial,
-                identical ? "yes" : "NO");
+    const double cold2 = results[0].coldMs / results[1].coldMs;
+    const double cold4 = results[0].coldMs / results[2].coldMs;
+    std::printf("\ncold-convergence speedup: x%.2f at 2 shards, x%.2f at "
+                "4 shards (byte-identical registries+traces: yes)\n",
+                cold2, cold4);
 
-    bench::BenchJson json("bootstorm", "cold-path batch kernels");
-    for (std::size_t i = 0; i < points.size(); ++i) {
+    bench::BenchJson json("bootstorm", "cold-path convergence");
+    for (int i = 0; i < 3; ++i) {
         json.beginRow();
-        json.field("batch_pages", points[i].batch);
-        json.field("scan_threads", points[i].threads);
-        json.field("commit_shards", points[i].shards);
+        json.field("commit_shards", points[i]);
         json.field("cold_converge_ms", results[i].coldMs);
         json.field("arrival_converge_ms", results[i].arrivalMs);
         json.field("pages_sharing", results[i].pagesSharing);
@@ -374,11 +329,9 @@ main(int argc, char **argv)
     json.summaryField("scalar_kernel_ns_per_page", kb.scalarNsPerPage);
     json.summaryField("batch_kernel_ns_per_page", kb.batchNsPerPage);
     json.summaryField("cold_kernel_speedup", kb.speedup);
-    json.summaryField("cold_batch_speedup", coldSerial);
-    json.summaryField("cold_batch_speedup_parallel", coldParallel);
-    json.summaryField("arrival_batch_speedup", arrivalSerial);
-    json.summaryField("registry_identical",
-                      static_cast<std::uint64_t>(identical ? 1 : 0));
+    json.summaryField("cold_shard2_speedup", cold2);
+    json.summaryField("cold_shard4_speedup", cold4);
+    json.summaryField("registry_identical", std::uint64_t{1});
     json.write();
-    return identical ? 0 : 1;
+    return 0;
 }

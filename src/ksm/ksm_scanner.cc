@@ -66,7 +66,6 @@ KsmScanner::KsmScanner(hv::Hypervisor &hv, const KsmConfig &cfg,
       stat_batch_flushes_(stats.counter("ksm.batch_flushes")),
       stat_hv_ksm_merges_(hv.stats().counter("hv.ksm_merges"))
 {
-    cfg_.batchPages = std::clamp<std::uint32_t>(cfg_.batchPages, 1, 128);
     // Log-driven passes are only complete if every write has been
     // funneled into a ring since the VMs existed.
     jtps_assert(!cfg_.usePml || hv_.pmlEnabled());
@@ -87,7 +86,7 @@ unsigned
 KsmScanner::effectiveCommitShards() const
 {
     // PML's ring/queue bookkeeping (splices, injected lanes) is
-    // inherently serial: log-driven runs keep the classic commit.
+    // inherently serial: log-driven runs keep the S = 1 visitor.
     if (cfg_.usePml || cfg_.commitShards <= 1)
         return 1;
     return cfg_.commitShards;
@@ -124,19 +123,6 @@ KsmScanner::pageDiscarded(VmId vm, Gfn gfn)
     if (gfn >= v.size())
         return;
     v[gfn] = PageScanState{};
-}
-
-KsmScanner::PageScanState &
-KsmScanner::pageState(VmId vm, Gfn gfn)
-{
-    if (vm >= page_state_.size())
-        page_state_.resize(
-            std::max<std::size_t>(hv_.vmCount(), vm + std::size_t{1}));
-    auto &v = page_state_[vm];
-    if (v.empty())
-        v.resize(hv_.vm(vm).ept.size());
-    jtps_assert(gfn < v.size());
-    return v[gfn];
 }
 
 KsmScanner::PageScanState *
@@ -212,8 +198,8 @@ KsmScanner::genCalmDigest(mem::FrameTable &ft, Hfn hfn,
     // Generation fast path, non-stable: serve the digest from the
     // per-page cache, falling back to the frame memo (first revisit),
     // and derive the epoch-proved stable-probe skip. Shared verbatim
-    // by the serial visit, the commit replay and the shard commits —
-    // only the counter sinks differ.
+    // by the serial visit and the shard commits — only the counter
+    // sinks differ.
     std::uint64_t digest;
     if (ps.digestValid) {
         ++digest_hits;
@@ -398,56 +384,47 @@ KsmScanner::scanOne(VmId vm, Gfn gfn, const hv::Vm &v,
                              pre && pre->hasDig ? &pre->dig : nullptr,
                              stat_digest_cache_hits_, digest)) {
             ++stat_not_calm_;
+            // The calm protocol still owes this page a second visit;
+            // log-driven passes only revisit what they queue.
+            if (cfg_.usePml)
+                pmlRequeue(vm, gfn);
             return true;
         }
     }
 
-    treeStage(vm, gfn, ft, ps, hfn, digest, data, skip_stable_probe,
-              nullptr);
+    treeStage(vm, gfn, ft, ps, hfn, digest, data, skip_stable_probe);
     return true;
 }
 
 void
 KsmScanner::treeStage(VmId vm, Gfn gfn, mem::FrameTable &ft,
                       PageScanState &ps, Hfn hfn, std::uint64_t digest,
-                      const mem::PageData *data, bool skip_stable_probe,
-                      const PageSnap *snap)
+                      const mem::PageData *data, bool skip_stable_probe)
 {
     ShardState &sh = shards_[shardFor(digest)];
 
     // Stable tree first.
     if (!skip_stable_probe) {
-        if (snap && snap->probeCleanMiss &&
-            snap->probeEpoch == ft.ksmStableEpoch(digest)) {
-            // The read-only classify probe walked the whole chain and
-            // met neither a stale node nor an acceptable one, and the
-            // stable epoch has not moved since: no node can have been
-            // added, gone stale or regained capacity without a bump,
-            // so a real lookup would do nothing but miss. Record the
-            // miss exactly as the serial visit would.
-            ps.lastStableEpoch = ft.ksmStableEpoch(digest);
-        } else {
-            if (!data)
-                data = &ft.frame(hfn).data;
-            const Hfn stable =
-                stableLookup(sh, *data, digest, stat_stale_stable_);
-            if (stable != invalidFrame) {
-                if (hv_.ksmMergeInto(stable, vm, gfn)) {
-                    ++merges_this_pass_;
-                    ++merges_total_;
-                    ++stat_stable_merges_;
-                    if (TraceBuffer *t = hv_.trace())
-                        t->record(TraceEventType::KsmStableMerge, vm,
-                                  gfn, stable);
-                }
-                return;
+        if (!data)
+            data = &ft.frame(hfn).data;
+        const Hfn stable =
+            stableLookup(sh, *data, digest, stat_stale_stable_);
+        if (stable != invalidFrame) {
+            if (hv_.ksmMergeInto(stable, vm, gfn)) {
+                ++merges_this_pass_;
+                ++merges_total_;
+                ++stat_stable_merges_;
+                if (TraceBuffer *t = hv_.trace())
+                    t->record(TraceEventType::KsmStableMerge, vm, gfn,
+                              stable);
             }
-            // Record the miss: while the stable epoch stays put,
-            // revisits of this unchanged page may skip the probe (and
-            // the pruning it would do — a missing probe already pruned
-            // its bucket clean).
-            ps.lastStableEpoch = ft.ksmStableEpoch(digest);
+            return;
         }
+        // Record the miss: while the stable epoch stays put, revisits
+        // of this unchanged page may skip the probe (and the pruning
+        // it would do — a missing probe already pruned its bucket
+        // clean).
+        ps.lastStableEpoch = ft.ksmStableEpoch(digest);
     }
 
     // Unstable tree: find another calm page with the same content seen
@@ -570,23 +547,6 @@ KsmScanner::treeStage(VmId vm, Gfn gfn, mem::FrameTable &ft,
     ++sh.live;
 }
 
-bool
-KsmScanner::cursorNext()
-{
-    const std::size_t nvms = hv_.vmCount();
-    for (;;) {
-        if (cur_vm_ >= nvms)
-            return false; // end of a full pass over mergeable memory
-        const hv::Vm &v = hv_.vm(cur_vm_);
-        if (!v.mergeable || cur_gfn_ >= v.ept.size()) {
-            ++cur_vm_;
-            cur_gfn_ = 0;
-            continue;
-        }
-        return true;
-    }
-}
-
 void
 KsmScanner::passBoundary()
 {
@@ -658,24 +618,164 @@ KsmScanner::passBoundary()
                   merges_total_);
 }
 
+std::uint64_t
+KsmScanner::scanBatch()
+{
+    if (hv_.vmCount() == 0)
+        return 0;
+    if (cfg_.usePml)
+        pmlDrain();
+    // The S = 1 visitor takes the batch in cache-sized chunks of
+    // collected work, so the work list and the EPT lines the collector
+    // just read are still hot when visited; the sharded back-end
+    // classifies the whole batch at once.
+    const std::size_t chunk = shards_.size() > 1 ? SIZE_MAX : kVisitChunk;
+    std::uint64_t visited = 0;
+    bool boundary = false;
+    do {
+        const double t_collect = phase_timing_ ? phaseNowMs() : 0.0;
+        boundary = collect(visited, chunk);
+        const double t_visit = phase_timing_ ? phaseNowMs() : 0.0;
+        if (phase_timing_)
+            phase_ms_.collect += t_visit - t_collect;
+
+        if (shards_.size() > 1) {
+            classifyAndCommit();
+        } else {
+            visitSerial();
+            if (phase_timing_)
+                phase_ms_.serial += phaseNowMs() - t_visit;
+        }
+
+        if (pml_settle_cursor_) {
+            // The collector stopped on the last queued page of the
+            // cursor's VM. The VM is finished only if no visit injected
+            // a revisit behind it into its lane; deciding after the
+            // visits keeps the cursor where a page-at-a-time loop would
+            // leave it (pmlDrain() splits on it).
+            pml_settle_cursor_ = false;
+            const PmlVmQueue &q = pml_[cur_vm_];
+            if (q.curIdx >= q.current.size() &&
+                q.injIdx >= q.injected.size()) {
+                ++cur_vm_;
+                cur_gfn_ = 0;
+            }
+        }
+    } while (!boundary && visited < cfg_.pagesToScan);
+    // After the visits, so the KsmFullScan trace event sees this
+    // batch's merges.
+    if (boundary)
+        passBoundary();
+    stat_pages_visited_ += visited;
+    return visited;
+}
+
+bool
+KsmScanner::collect(std::uint64_t &visited, std::size_t limit)
+{
+    // The one place that knows both page sources. Like ksmd, only
+    // resident pages consume the scan budget (the rmap walk skips
+    // holes nearly for free), and a pass boundary ends the batch.
+    work_.clear();
+    const std::size_t nvms = hv_.vmCount();
+    const auto more = [&] {
+        return visited < cfg_.pagesToScan && work_.size() < limit;
+    };
+    while (more()) {
+        if (cur_vm_ >= nvms)
+            return true; // end of a full pass over mergeable memory
+        const hv::Vm &v = hv_.vm(cur_vm_);
+        if (!v.mergeable) {
+            ++cur_vm_;
+            cur_gfn_ = 0;
+            continue;
+        }
+        // Size the page-state row now, single-threaded: the visits
+        // and the classify workers only index settled storage.
+        pageStateRow(cur_vm_, v);
+        PmlVmQueue *q = cfg_.usePml ? &pml_[cur_vm_] : nullptr;
+        const Gfn gfn_end = v.ept.size();
+
+        if (q == nullptr || q->walkThisPass) {
+            // The cursor walk (a log-driven VM whose ring overflowed
+            // falls back to it for the affected passes).
+            const std::size_t before = work_.size();
+            while (cur_gfn_ < gfn_end && more()) {
+                if (v.ept.entry(cur_gfn_).state == hv::PageState::Resident) {
+                    work_.push_back(WorkItem{cur_vm_, cur_gfn_});
+                    ++visited;
+                }
+                ++cur_gfn_;
+            }
+            if (q != nullptr)
+                q->visitedThisPass += work_.size() - before;
+            if (cur_gfn_ >= gfn_end) {
+                ++cur_vm_;
+                cur_gfn_ = 0;
+            }
+            continue;
+        }
+
+        // The dirty log: merge-consume the dirty queue and the
+        // injected lane in cursor order. Injected visits (cross-pass
+        // revisits, see pmlScheduleThisPass) are exempt from the
+        // budget but count as visits everywhere else.
+        while (more()) {
+            const bool has_cur = q->curIdx < q->current.size();
+            const bool has_inj = q->injIdx < q->injected.size();
+            if (!has_cur && !has_inj)
+                break;
+            const bool from_injected =
+                has_inj &&
+                (!has_cur || q->injected[q->injIdx] < q->current[q->curIdx]);
+            const Gfn g = from_injected ? q->injected[q->injIdx++]
+                                        : q->current[q->curIdx++];
+            if (g < cur_gfn_ || g >= gfn_end)
+                continue; // already visited this pass, or discarded
+            if (v.ept.entry(g).state == hv::PageState::Resident) {
+                work_.push_back(WorkItem{cur_vm_, g});
+                ++q->visitedThisPass;
+                if (from_injected)
+                    ++stat_pages_visited_;
+                else
+                    ++visited;
+            }
+            cur_gfn_ = g + 1;
+        }
+        if (q->curIdx < q->current.size() || q->injIdx < q->injected.size())
+            continue; // stopped inside this VM
+        if (!more()) {
+            // Ran dry exactly at the stop: a visit may still inject a
+            // revisit into this VM's lane, so scanBatch() settles the
+            // cursor after the visits.
+            pml_settle_cursor_ = true;
+            break;
+        }
+        ++cur_vm_;
+        cur_gfn_ = 0;
+    }
+    return false;
+}
+
 void
-KsmScanner::visitLookahead(const hv::Vm &v, const PageScanState *psv,
-                           Gfn gfn, Gfn gfn_end,
+KsmScanner::visitLookahead(std::size_t i, VmId vm, const hv::Vm &v,
+                           const PageScanState *psv,
                            const mem::FrameTable &ft) const
 {
     // The two random-access lines of a steady-state visit — the
     // frame's write generation (indexed by hfn) and the unstable-table
-    // slot (indexed by digest hash) — are prefetched a few pages ahead
-    // from the sequentially walked EPT and page-state rows, hiding
-    // their miss latency behind the visits in between. Pure hints: the
-    // scan itself never depends on them.
-    constexpr Gfn prefetchDist = 16;
-    if (gfn + prefetchDist >= gfn_end)
+    // slot (indexed by digest hash) — are prefetched a few visits
+    // ahead from the EPT and page-state rows, hiding their miss
+    // latency behind the visits in between. Pure hints: the scan
+    // itself never depends on them.
+    constexpr std::size_t prefetchDist = 16;
+    if (i + prefetchDist >= work_.size())
         return;
-    const hv::EptEntry &pe = v.ept.entry(gfn + prefetchDist);
-    if (pe.state == hv::PageState::Resident)
-        ft.prefetchWriteGen(pe.backing);
-    const PageScanState &pps = psv[gfn + prefetchDist];
+    const WorkItem w = work_[i + prefetchDist];
+    if (w.vm != vm)
+        return; // the next VM's rows: not worth the lookups
+    ft.prefetchWriteGen(v.ept.entry(w.gfn).backing);
+    const PageScanState &pps = psv[w.gfn];
     if (pps.digestValid) {
         // Two lines: collision chains average a couple of slots, and a
         // 32-byte slot at an odd index walks into the next line
@@ -685,158 +785,105 @@ KsmScanner::visitLookahead(const hv::Vm &v, const PageScanState *psv,
     }
 }
 
-bool
-KsmScanner::advanceCursor()
+void
+KsmScanner::visitSerial()
 {
-    if (hv_.vmCount() == 0)
-        return false;
-    if (!cursorNext()) {
-        passBoundary();
-        return false;
-    }
-    return true;
-}
-
-std::uint64_t
-KsmScanner::scanBatch()
-{
-    if (hv_.vmCount() == 0)
-        return 0;
-    if (cfg_.usePml) {
-        return cfg_.scanThreads >= 2 ? scanBatchParallelPml()
-                                     : scanBatchSerialPml();
-    }
-    // A sharded commit needs the two-phase split even at one scan
-    // thread (the split is byte-identical to the serial loop).
-    if (cfg_.scanThreads >= 2 || shards_.size() > 1)
-        return scanBatchParallel();
-    return scanBatchSerial();
-}
-
-std::uint64_t
-KsmScanner::scanBatchSerial()
-{
-    if (cfg_.batchPages > 1)
-        return scanBatchSerialBatched();
     mem::FrameTable &ft = hv_.frames();
-    std::uint64_t visited = 0;
-    while (visited < cfg_.pagesToScan) {
-        if (!advanceCursor()) {
-            // Pass boundary reached; ksmd would continue into the next
-            // pass within the same wake, but stopping here keeps wake
-            // cost bounded and matches the batch accounting.
-            break;
+    if (!cfg_.incrementalScan) {
+        // The from-scratch reference visits page by page with no
+        // kernel staging: an oracle that shares none of that code.
+        for (std::size_t i = 0; i < work_.size(); ++i) {
+            const WorkItem w = work_[i];
+            const hv::Vm &v = hv_.vm(w.vm);
+            visit_idx_ = i;
+            scanOne(w.vm, w.gfn, v, ft, page_state_[w.vm].data());
         }
-        // The VM, its page-state row and the gfn bound are hoisted out
-        // of the per-page loop; advanceCursor() leaves the cursor on a
-        // mergeable VM with cur_gfn_ in range. Like ksmd, only
-        // *present* pages consume the scan budget: the rmap walk skips
-        // holes in the address space nearly for free. The pass
-        // boundary still bounds each batch.
-        const hv::Vm &v = hv_.vm(cur_vm_);
-        PageScanState *psv = pageStateRow(cur_vm_, v);
-        const Gfn gfn_end = v.ept.size();
-        while (cur_gfn_ < gfn_end && visited < cfg_.pagesToScan) {
-            visitLookahead(v, psv, cur_gfn_, gfn_end, ft);
-            if (scanOne(cur_vm_, cur_gfn_, v, ft, psv))
-                ++visited;
-            ++cur_gfn_;
-        }
+        return;
     }
-    stat_pages_visited_ += visited;
-    return visited;
-}
 
-std::uint64_t
-KsmScanner::scanBatchSerialBatched()
-{
-    // Software-pipelined serial visitor: gather a window of resident
-    // candidates (consuming the cursor and the scan budget exactly as
-    // the per-page loop does), stage the content kernels lane-parallel
-    // over the whole window, then apply the unchanged per-page visits
-    // on the precomputed values. Page content, residency and huge
-    // flags are frozen for the window — no guest runs mid-batch and
-    // the scanner never writes page data — so a precomputed value is
-    // always what the visit would have computed; visits that stop
-    // before needing one (a frame an earlier visit in the window just
-    // promoted, say) simply ignore it, exactly like an unused
-    // classify snapshot.
-    mem::FrameTable &ft = hv_.frames();
+    // Software-pipelined visits: gather a window of work items, stage
+    // the content kernels lane-parallel over the whole window, then
+    // apply the unchanged per-page visits on the precomputed values.
+    // Page content, residency and huge flags are frozen for the batch
+    // — no guest runs mid-batch and the scanner never writes page
+    // data — so a precomputed value is always what the visit would
+    // have computed; visits that stop before needing one (a frame an
+    // earlier visit in the window just promoted, say) ignore it.
     KernelStage &ks = serial_stage_;
-    std::uint64_t visited = 0;
-    while (visited < cfg_.pagesToScan) {
-        if (!advanceCursor())
-            break; // pass boundary: bounded wake, as in the 1-page loop
-        const hv::Vm &v = hv_.vm(cur_vm_);
-        PageScanState *psv = pageStateRow(cur_vm_, v);
-        const Gfn gfn_end = v.ept.size();
-        while (cur_gfn_ < gfn_end && visited < cfg_.pagesToScan) {
-            ks.clearWindow();
-            while (cur_gfn_ < gfn_end && visited < cfg_.pagesToScan &&
-                   ks.count() < cfg_.batchPages) {
-                visitLookahead(v, psv, cur_gfn_, gfn_end, ft);
-                const hv::EptEntry &e = v.ept.entry(cur_gfn_);
-                if (e.state == hv::PageState::Resident) {
-                    // Settled revisits bypass the window while it is
-                    // empty: a converged region then costs what the
-                    // scalar visitor costs — same lookahead prefetch,
-                    // same visit, no staging detour. Visit order is
-                    // preserved — the bypass only runs with nothing
-                    // staged ahead of it, and settled pages hit
-                    // mid-gather simply join the window and apply in
-                    // sequence. Generation equality needs the huge
-                    // check first: a THP flip rebacks the page, so a
-                    // stale row could otherwise alias the new frame.
-                    bool direct = false;
-                    if (ks.count() == 0 && cfg_.incrementalScan &&
-                        (v.hugePages.empty() || !v.hugePages[cur_gfn_])) {
-                        const PageScanState &ps = psv[cur_gfn_];
-                        if (ps.lastGen == ft.writeGen(e.backing)) {
-                            if (ps.lastStable) {
-                                // The whole visit (see stageWindow).
-                                ++stat_gen_skipped_;
-                                direct = true;
-                            } else if (ps.digestValid) {
-                                scanOne(cur_vm_, cur_gfn_, v, ft, psv);
-                                direct = true;
-                            }
-                        }
-                    }
-                    if (!direct) {
-                        ks.push(&v, psv, cur_gfn_);
-                        ft.prefetchWriteGen(e.backing);
-                    }
-                    ++visited;
-                }
-                ++cur_gfn_;
+    VmId last_vm = invalidVm;
+    const hv::Vm *v = nullptr;
+    PageScanState *psv = nullptr;
+    std::size_t i = 0;
+    while (i < work_.size()) {
+        ks.clearWindow();
+        std::size_t wbegin = i;
+        while (i < work_.size() && ks.count() < kBatchPages) {
+            const WorkItem w = work_[i];
+            if (w.vm != last_vm) {
+                v = &hv_.vm(w.vm);
+                psv = page_state_[w.vm].data();
+                last_vm = w.vm;
             }
-            if (ks.count() == 0)
-                continue; // ran off the VM (or budget) gathering
-            stageWindow(ft, ks, /*consult_memo=*/true);
-            if (phase_timing_) {
-                // Fold per-window so a pass boundary inside this batch
-                // prints the kernel time of its own pass.
-                phase_ms_.kernel += ks.kernelMs;
-                ks.kernelMs = 0.0;
-            }
-            for (std::size_t k = 0; k < ks.count(); ++k) {
-                if (ks.stableSettled[k]) {
-                    // The staged verdict is the whole visit (see
-                    // stageWindow pass 0): scanOne would re-derive
-                    // lastStable + generation equality and return.
-                    ++stat_gen_skipped_;
+            visitLookahead(i, w.vm, *v, psv, ft);
+            const hv::EptEntry &e = v->ept.entry(w.gfn);
+            if (ks.count() == 0) {
+                // Settled revisits bypass the window while it is
+                // empty: a converged region then costs one scalar
+                // visit per page, no staging detour. Visit order is
+                // preserved — the bypass only runs with nothing staged
+                // ahead of it. Generation equality needs the huge
+                // check first: a THP flip rebacks the page, so a stale
+                // row could otherwise alias the new frame.
+                const PageScanState &ps = psv[w.gfn];
+                if ((v->hugePages.empty() || !v->hugePages[w.gfn]) &&
+                    ps.lastGen == ft.writeGen(e.backing) &&
+                    (ps.lastStable || ps.digestValid)) {
+                    visit_idx_ = i;
+                    if (ps.lastStable)
+                        ++stat_gen_skipped_; // the whole visit
+                    else
+                        scanOne(w.vm, w.gfn, *v, ft, psv);
+                    ++i;
+                    wbegin = i;
                     continue;
                 }
-                scanOne(cur_vm_, ks.gfns[k], v, ft, psv, &ks.pre[k]);
+            }
+            ks.push(v, psv, w.gfn);
+            ft.prefetchWriteGen(e.backing);
+            ++i;
+        }
+        if (ks.count() == 0)
+            continue;
+        stageWindow(ft, ks, /*consult_memo=*/true);
+        for (std::size_t k = 0; k < ks.count(); ++k) {
+            if (ks.stableSettled[k]) {
+                // The staged verdict is the whole visit (see
+                // stageWindow pass 0).
+                ++stat_gen_skipped_;
+                continue;
+            }
+            const WorkItem w = work_[wbegin + k];
+            const std::size_t n = work_.size();
+            visit_idx_ = wbegin + k;
+            scanOne(w.vm, w.gfn, *ks.vms[k], ft, page_state_[w.vm].data(),
+                    &ks.pre[k]);
+            if (work_.size() != n) {
+                // A cross-pass revisit was spliced in behind this
+                // visit: the staged items after it no longer line up
+                // with work_, so restage from the next item on.
+                i = wbegin + k + 1;
+                break;
             }
         }
     }
-    stat_pages_visited_ += visited;
     stat_batch_kernel_pages_ += ks.kernelPages;
     stat_batch_flushes_ += ks.flushes;
     ks.kernelPages = 0;
     ks.flushes = 0;
-    return visited;
+    if (phase_timing_) {
+        phase_ms_.kernel += ks.kernelMs;
+        ks.kernelMs = 0.0;
+    }
 }
 
 void
@@ -1121,263 +1168,144 @@ void
 KsmScanner::classifyRange(const mem::FrameTable &ft, std::size_t begin,
                           std::size_t end)
 {
+    // Software-pipelined like the serial visitor: stage a window of
+    // items through the lane-parallel kernels, then classify each on
+    // the precomputed values. Windows restart at the span's start, so
+    // for a fixed scanShardPages the window shapes — hence the batch
+    // counters — do not depend on scheduling. The stage is local:
+    // workers run concurrently and snaps_ rows don't overlap.
     VmId last_vm = invalidVm;
     const hv::Vm *v = nullptr;
     const PageScanState *psv = nullptr;
     const hv::Hypervisor &chv = hv_;
-    if (cfg_.batchPages > 1) {
-        // Software-pipelined form: stage a window of items through the
-        // lane-parallel kernels, then classify each on the precomputed
-        // values. Windows restart at the shard span's start, so for a
-        // fixed scanShardPages the window shapes — hence the batch
-        // counters — are thread-count invariant. The stage is local:
-        // workers run concurrently and snaps_ rows don't overlap.
-        KernelStage ks;
-        for (std::size_t i = begin; i < end;) {
-            const std::size_t wend =
-                std::min(end, i + cfg_.batchPages);
-            ks.clearWindow();
-            for (std::size_t j = i; j < wend; ++j) {
-                const WorkItem w = work_[j];
-                if (w.vm != last_vm) {
-                    v = &chv.vm(w.vm);
-                    psv = page_state_[w.vm].data();
-                    last_vm = w.vm;
-                }
-                ks.push(v, psv, w.gfn);
+    KernelStage ks;
+    for (std::size_t i = begin; i < end;) {
+        const std::size_t wend = std::min(end, i + kBatchPages);
+        ks.clearWindow();
+        for (std::size_t j = i; j < wend; ++j) {
+            const WorkItem w = work_[j];
+            if (w.vm != last_vm) {
+                v = &chv.vm(w.vm);
+                psv = page_state_[w.vm].data();
+                last_vm = w.vm;
             }
-            stageWindow(ft, ks, false);
-            for (std::size_t j = i; j < wend; ++j) {
-                const WorkItem w = work_[j];
-                const std::size_t k = j - i;
-                classifyOne(w.gfn, *ks.vms[k], ft, ks.rows[k],
-                            snaps_[j], &ks.pre[k]);
-            }
-            i = wend;
+            ks.push(v, psv, w.gfn);
         }
-        batch_pages_acc_.fetch_add(ks.kernelPages,
-                                   std::memory_order_relaxed);
-        batch_flush_acc_.fetch_add(ks.flushes,
-                                   std::memory_order_relaxed);
-        if (phase_timing_)
-            kernel_ns_acc_.fetch_add(
-                static_cast<std::uint64_t>(ks.kernelMs * 1e6),
-                std::memory_order_relaxed);
-        return;
-    }
-    for (std::size_t i = begin; i < end; ++i) {
-        const WorkItem w = work_[i];
-        if (w.vm != last_vm) {
-            v = &chv.vm(w.vm);
-            psv = page_state_[w.vm].data();
-            last_vm = w.vm;
+        stageWindow(ft, ks, false);
+        for (std::size_t j = i; j < wend; ++j) {
+            const std::size_t k = j - i;
+            classifyOne(work_[j].gfn, *ks.vms[k], ft, ks.rows[k],
+                        snaps_[j], &ks.pre[k]);
         }
-        classifyOne(w.gfn, *v, ft, psv, snaps_[i]);
+        i = wend;
     }
+    batch_pages_acc_.fetch_add(ks.kernelPages, std::memory_order_relaxed);
+    batch_flush_acc_.fetch_add(ks.flushes, std::memory_order_relaxed);
+    if (phase_timing_)
+        kernel_ns_acc_.fetch_add(
+            static_cast<std::uint64_t>(ks.kernelMs * 1e6),
+            std::memory_order_relaxed);
 }
 
 void
-KsmScanner::commitOne(VmId vm, Gfn gfn, const hv::Vm &v,
-                      mem::FrameTable &ft, PageScanState *psv,
-                      const PageSnap &snap, GenCheck gen_check)
+KsmScanner::commitResidual(VmId vm, Gfn gfn, const hv::Vm &v,
+                           mem::FrameTable &ft, PageScanState *psv,
+                           const PageSnap &snap, bool replay)
 {
+    // The reduce's non-candidate items: verdicts that stop before the
+    // merge trees (candidates commit in their digest shard), replayed
+    // with exactly the serial visit's mutations (compare scanOne()).
     if (snap.kind == PageSnap::Kind::Huge) {
         // hugePages flags are frozen for the batch: always valid.
         ++stat_skipped_huge_;
         return;
     }
-
-    const Hfn hfn = v.ept.entry(gfn).backing;
-    const bool gen_moved = gen_check == GenCheck::Live
-                               ? ft.writeGen(hfn) != snap.gen
-                               : gen_check == GenCheck::ForceReplay;
-    if (gen_moved) {
-        // The frame moved since classify — an earlier commit promoted
-        // it to stable (the only mid-batch generation source), or the
-        // page was remapped. Nothing recorded in the snap is provable
-        // any more: run the full serial visit.
+    if (replay) {
+        // The frame moved since classify — an earlier promotion made
+        // it stable (the only mid-batch generation source). Nothing
+        // recorded in the snap is provable any more: run the full
+        // serial visit.
         ++stat_commit_replays_;
         scanOne(vm, gfn, v, ft, psv);
         return;
     }
 
-    // From here on the write generation seen by classify still holds,
-    // so every snap value is exactly what the serial visit would have
-    // computed, and the replay below performs the serial visit's
-    // mutations verbatim (compare scanOne()).
     PageScanState &ps = psv[gfn];
-    const std::uint64_t gen = snap.gen;
-    const mem::PageData *data = nullptr;
-    std::uint64_t digest = 0;
-    bool skip_stable_probe = false;
-
     switch (snap.kind) {
-    case PageSnap::Kind::Huge:
-        return; // handled above
     case PageSnap::Kind::GenStable:
         ++stat_gen_skipped_;
         return;
-    case PageSnap::Kind::GenCalm:
-        ++stat_gen_skipped_;
-        digest = genCalmDigest(ft, hfn, gen, ps, data,
-                               snap.hasDigest ? &snap.digest : nullptr,
-                               stat_digest_cache_hits_,
-                               skip_stable_probe);
-        break;
     case PageSnap::Kind::SlowStable:
         if (cfg_.incrementalScan) {
-            ps.lastGen = gen;
+            ps.lastGen = snap.gen;
             ps.lastStable = true;
             ps.digestValid = false;
             ps.lastStableEpoch = 0;
         }
         return;
-    case PageSnap::Kind::NotCalm:
+    case PageSnap::Kind::NotCalm: {
+        // slowPathContent re-derives calm from the frozen ps; classify
+        // computed the same checksum against the same state.
+        const Hfn hfn = v.ept.entry(gfn).backing;
+        const mem::PageData *data = &ft.frame(hfn).data;
+        std::uint64_t digest = 0;
+        const bool calm = slowPathContent(
+            ft, hfn, snap.gen, ps, data,
+            snap.hasChecksum ? &snap.checksum : nullptr, nullptr,
+            stat_digest_cache_hits_, digest);
+        jtps_assert(!calm);
+        ++stat_not_calm_;
+        return;
+    }
+    case PageSnap::Kind::Huge:
+    case PageSnap::Kind::GenCalm:
     case PageSnap::Kind::SlowCalm:
-        // slowPathContent re-derives calm from the frozen ps; since
-        // classify computed the same checksum against the same state,
-        // the verdict always matches snap.kind.
-        data = &ft.frame(hfn).data;
-        if (!slowPathContent(ft, hfn, gen, ps, data,
-                             snap.hasChecksum ? &snap.checksum : nullptr,
-                             snap.hasDigest ? &snap.digest : nullptr,
-                             stat_digest_cache_hits_, digest)) {
-            ++stat_not_calm_;
-            return;
-        }
         break;
     }
-
-    treeStage(vm, gfn, ft, ps, hfn, digest, data, skip_stable_probe,
-              &snap);
-}
-
-std::uint64_t
-KsmScanner::scanBatchParallel()
-{
-    // ---- Collect: replicate the serial cursor walk read-only,
-    // building the batch's work list in serial visit order. Like the
-    // serial loop, only resident pages consume scan budget, and a
-    // pass boundary ends the batch (processed after the commits so
-    // the KsmFullScan trace event sees this batch's merges).
-    work_.clear();
-    std::uint64_t visited = 0;
-    bool boundary = false;
-    const double t_collect = phase_timing_ ? phaseNowMs() : 0.0;
-    while (visited < cfg_.pagesToScan) {
-        if (!cursorNext()) {
-            boundary = true;
-            break;
-        }
-        const hv::Vm &v = hv_.vm(cur_vm_);
-        // Size this VM's page-state row now, single-threaded, so the
-        // classify workers only ever index into settled storage.
-        pageStateRow(cur_vm_, v);
-        const Gfn gfn_end = v.ept.size();
-        while (cur_gfn_ < gfn_end && visited < cfg_.pagesToScan) {
-            if (v.ept.entry(cur_gfn_).state == hv::PageState::Resident) {
-                work_.push_back(WorkItem{cur_vm_, cur_gfn_});
-                ++visited;
-            }
-            ++cur_gfn_;
-        }
-    }
-    if (phase_timing_)
-        phase_ms_.collect += phaseNowMs() - t_collect;
-
-    classifyAndCommit();
-    if (boundary)
-        passBoundary();
-    stat_pages_visited_ += visited;
-    return visited;
+    panic("merge candidate in the residual stream");
 }
 
 void
 KsmScanner::classifyAndCommit()
 {
+    if (work_.empty())
+        return;
     mem::FrameTable &ft = hv_.frames();
 
-    // ---- Classify: fan fixed-size shards out to the pool. Workers
+    // ---- Classify: fan fixed-size spans out to the pool. Workers
     // only read (frozen frame table, EPTs, per-page state) and only
     // write their own snaps_ range; determinism needs no ordering
-    // here because commit ignores completion order entirely.
+    // here because the commit ignores completion order entirely.
     const double t_classify = phase_timing_ ? phaseNowMs() : 0.0;
-    if (!work_.empty()) {
-        snaps_.assign(work_.size(), PageSnap{});
-        if (!pool_)
-            pool_ = std::make_unique<ThreadPool>(
-                std::max<unsigned>(cfg_.scanThreads,
-                                   static_cast<unsigned>(shards_.size())));
-        const std::size_t shard =
-            std::max<std::size_t>(1, cfg_.scanShardPages);
-        const mem::FrameTable &cft = ft;
-        std::uint64_t shards = 0;
-        for (std::size_t begin = 0; begin < work_.size();
-             begin += shard) {
-            const std::size_t end =
-                std::min(work_.size(), begin + shard);
-            ++shards;
-            pool_->submit(
-                [this, &cft, begin, end] { classifyRange(cft, begin, end); });
-        }
-        pool_->wait();
-        stat_scan_shards_ += shards;
-        // Fold the workers' batch-kernel accounting. The folded values
-        // are sums over fixed-shape windows (scanShardPages spans ÷
-        // batchPages), so they are identical at any thread count.
-        stat_batch_kernel_pages_ +=
-            batch_pages_acc_.exchange(0, std::memory_order_relaxed);
-        stat_batch_flushes_ +=
-            batch_flush_acc_.exchange(0, std::memory_order_relaxed);
-        if (phase_timing_)
-            phase_ms_.kernel +=
-                static_cast<double>(kernel_ns_acc_.exchange(
-                    0, std::memory_order_relaxed)) *
-                1e-6;
+    snaps_.assign(work_.size(), PageSnap{});
+    if (!pool_)
+        pool_ = std::make_unique<ThreadPool>(
+            static_cast<unsigned>(shards_.size()));
+    const std::size_t span = std::max<std::size_t>(1, cfg_.scanShardPages);
+    const mem::FrameTable &cft = ft;
+    std::uint64_t spans = 0;
+    for (std::size_t begin = 0; begin < work_.size(); begin += span) {
+        const std::size_t end = std::min(work_.size(), begin + span);
+        ++spans;
+        pool_->submit(
+            [this, &cft, begin, end] { classifyRange(cft, begin, end); });
     }
-    if (phase_timing_)
+    pool_->wait();
+    stat_scan_shards_ += spans;
+    // Fold the workers' batch-kernel accounting: sums over windows of
+    // a fixed shape, so independent of which worker ran which span.
+    stat_batch_kernel_pages_ +=
+        batch_pages_acc_.exchange(0, std::memory_order_relaxed);
+    stat_batch_flushes_ +=
+        batch_flush_acc_.exchange(0, std::memory_order_relaxed);
+    if (phase_timing_) {
+        phase_ms_.kernel += static_cast<double>(kernel_ns_acc_.exchange(
+                                0, std::memory_order_relaxed)) *
+                            1e-6;
         phase_ms_.classify += phaseNowMs() - t_classify;
-
-    // ---- Commit. With commit sharding active, the candidate work
-    // fans out across the digest shards and the rest reduces serially
-    // in canonical order — byte-identical to the loop below.
-    if (shards_.size() > 1) {
-        commitSharded(ft);
-        return;
     }
 
-    // ---- Commit: replay verdicts serially in collect order. All
-    // mutations happen here, exactly as the serial scanner interleaves
-    // them, so merges, counters and traces are byte-identical.
-    const double t_serial = phase_timing_ ? phaseNowMs() : 0.0;
-    VmId last_vm = invalidVm;
-    const hv::Vm *v = nullptr;
-    PageScanState *psv = nullptr;
-    pml_in_commit_ = true;
-    for (std::size_t i = 0; i < work_.size(); ++i) {
-        const WorkItem w = work_[i];
-        if (w.vm != last_vm) {
-            v = &hv_.vm(w.vm);
-            psv = page_state_[w.vm].data();
-            last_vm = w.vm;
-        }
-        // By value: a commit can splice a cross-pass revisit into the
-        // tail of work_/snaps_, reallocating both vectors.
-        const PageSnap snap = snaps_[i];
-        if (snap.kind == PageSnap::Kind::GenCalm ||
-            snap.kind == PageSnap::Kind::SlowCalm)
-            ++stat_precheck_candidates_;
-        const std::uint64_t nc_before = stat_not_calm_;
-        pml_commit_idx_ = i;
-        commitOne(w.vm, w.gfn, *v, ft, psv, snap);
-        // A not-calm page is still owed the calm protocol's second
-        // visit; log-driven passes only revisit what they queue.
-        if (cfg_.usePml && stat_not_calm_ != nc_before)
-            pmlRequeue(w.vm, w.gfn);
-    }
-    pml_in_commit_ = false;
-    if (phase_timing_)
-        phase_ms_.serial += phaseNowMs() - t_serial;
+    commitSharded(ft);
 }
 
 void
@@ -1458,7 +1386,7 @@ KsmScanner::commitSharded(mem::FrameTable &ft)
 
     // ---- Reduce (serial): interleave the shard op logs with the
     // residual stream by work index and apply in exactly the order
-    // the serial commit would have produced these effects.
+    // the S = 1 visitor would have produced these effects.
     merged_ops_.clear();
     for (const ShardWork &sw : shard_work_)
         merged_ops_.insert(merged_ops_.end(), sw.ops.begin(),
@@ -1490,20 +1418,19 @@ KsmScanner::commitSharded(mem::FrameTable &ft)
             last_vm = w.vm;
         }
         const PageSnap &snap = snaps_[i];
-        // The serial commit checks the live write generation at this
-        // item's turn. Here every shard promotion has already landed,
-        // so decide from the applied-op record instead: only a
-        // promotion with a smaller work index (already applied, hence
-        // in bumped_) would have been visible serially.
-        GenCheck gc = GenCheck::ForceCommit;
-        if (snap.kind != PageSnap::Kind::Huge &&
-            bumped_.count(v->ept.entry(w.gfn).backing) != 0)
-            gc = GenCheck::ForceReplay;
-        commitOne(w.vm, w.gfn, *v, ft, psv, snap, gc);
+        // A serial visit sees the live write generation at this item's
+        // turn. Here every shard promotion has already landed, so
+        // decide from the applied-op record instead: only a promotion
+        // with a smaller work index (already applied, hence in
+        // bumped_) would have been visible serially.
+        const bool replay =
+            snap.kind != PageSnap::Kind::Huge &&
+            bumped_.count(v->ept.entry(w.gfn).backing) != 0;
+        commitResidual(w.vm, w.gfn, *v, ft, psv, snap, replay);
     }
 
     // ---- Fold the shard counters into the live stats, in shard
-    // order (the totals are sums, so they match the serial commit).
+    // order (the totals are sums, so they match the S = 1 visitor).
     for (const ShardWork &sw : shard_work_) {
         stat_stale_stable_ += sw.counters.staleStable;
         stat_stale_unstable_ += sw.counters.staleUnstable;
@@ -1591,6 +1518,12 @@ KsmScanner::shardTreeStage(ShardState &sh, ShardWork &sw, unsigned lane,
     if (!skip_stable_probe) {
         if (snap && snap->probeCleanMiss &&
             snap->probeEpoch == ft.ksmStableEpoch(digest)) {
+            // The read-only classify probe walked the whole chain and
+            // met neither a stale node nor an acceptable one, and the
+            // stable epoch has not moved since: no node can have been
+            // added, gone stale or regained capacity without a bump,
+            // so a real lookup would do nothing but miss. Record the
+            // miss exactly as the serial visit would.
             ps.lastStableEpoch = ft.ksmStableEpoch(digest);
         } else {
             if (!data)
@@ -1693,7 +1626,7 @@ KsmScanner::shardTreeStage(ShardState &sh, ShardWork &sw, unsigned lane,
 void
 KsmScanner::applyShardOp(const ShardOp &op, mem::FrameTable &ft)
 {
-    // Effects land in the serial commit's exact order for this item:
+    // Effects land in the S = 1 visitor's exact order for this item:
     // the promotion's bookkeeping first (setKsmStable's counters),
     // then the merge's unmap/map/touch/stat/trace sequence.
     if (op.promotion && op.transitioned) {
@@ -1742,38 +1675,27 @@ KsmScanner::pmlScheduleThisPass(VmId vm, Gfn gfn)
         return; // the fallback walk reaches it at its own position
     const bool ahead_of_cursor =
         vm > cur_vm_ || (vm == cur_vm_ && gfn >= cur_gfn_);
-    if (pml_in_commit_ && !ahead_of_cursor) {
-        // A parallel batch's collect already passed this position:
-        // splice the visit into the unreplayed tail of the commit
-        // stream at its canonical slot. gen 0 never matches a live
-        // write generation, so the commit runs the full serial visit.
+    if (!ahead_of_cursor) {
+        // The collector already passed this position: splice the visit
+        // into the unvisited tail of the work list at its canonical
+        // slot. Like every injected visit it is budget-exempt; the
+        // batch's budget accounting is closed, so count it here.
         const WorkItem item{vm, gfn};
         const auto cmp = [](const WorkItem &a, const WorkItem &b) {
             return a.vm < b.vm || (a.vm == b.vm && a.gfn < b.gfn);
         };
-        const auto it =
-            std::lower_bound(work_.begin() + static_cast<std::ptrdiff_t>(
-                                                 pml_commit_idx_ + 1),
-                             work_.end(), item, cmp);
+        const auto it = std::lower_bound(
+            work_.begin() + static_cast<std::ptrdiff_t>(visit_idx_ + 1),
+            work_.end(), item, cmp);
         if (it != work_.end() && it->vm == vm && it->gfn == gfn)
             return; // the batch already visits it
-        const std::size_t pos =
-            static_cast<std::size_t>(it - work_.begin());
-        PageSnap snap{};
-        snap.kind = PageSnap::Kind::NotCalm;
-        snap.gen = 0;
         work_.insert(it, item);
-        snaps_.insert(snaps_.begin() + static_cast<std::ptrdiff_t>(pos),
-                      snap);
-        // The serial loop counts this visit when it reaches the page;
-        // here the batch's budget accounting is already closed.
         ++stat_pages_visited_;
         ++q.visitedThisPass;
         return;
     }
-    // Still ahead of the cursor: insert into the VM's injected lane in
-    // cursor order; the pass's remaining batches consume it normally
-    // (outside the pagesToScan budget, like the splice above).
+    // Still ahead of the collector: insert into the VM's injected lane
+    // in cursor order for a later batch of the pass to collect.
     const auto lo =
         q.injected.begin() + static_cast<std::ptrdiff_t>(q.injIdx);
     const auto it = std::lower_bound(lo, q.injected.end(), gfn);
@@ -1854,176 +1776,6 @@ KsmScanner::pmlDrain()
                 q.current.end());
         }
     }
-}
-
-std::uint64_t
-KsmScanner::scanBatchSerialPml()
-{
-    pmlDrain();
-    mem::FrameTable &ft = hv_.frames();
-    std::uint64_t visited = 0;
-    while (visited < cfg_.pagesToScan) {
-        if (cur_vm_ >= hv_.vmCount()) {
-            passBoundary();
-            break;
-        }
-        const hv::Vm &v = hv_.vm(cur_vm_);
-        if (!v.mergeable) {
-            ++cur_vm_;
-            cur_gfn_ = 0;
-            continue;
-        }
-        PmlVmQueue &q = pmlQueue(cur_vm_);
-        PageScanState *psv = pageStateRow(cur_vm_, v);
-        if (q.walkThisPass) {
-            // Overflow fallback: the plain generation walk of this VM,
-            // plus the owed-revisit bookkeeping a queue-driven next
-            // pass will need.
-            const Gfn gfn_end = v.ept.size();
-            while (cur_gfn_ < gfn_end && visited < cfg_.pagesToScan) {
-                const std::uint64_t nc_before = stat_not_calm_;
-                if (scanOne(cur_vm_, cur_gfn_, v, ft, psv)) {
-                    ++visited;
-                    ++q.visitedThisPass;
-                }
-                if (stat_not_calm_ != nc_before)
-                    pmlRequeue(cur_vm_, cur_gfn_);
-                ++cur_gfn_;
-            }
-            if (cur_gfn_ >= gfn_end) {
-                ++cur_vm_;
-                cur_gfn_ = 0;
-            }
-            continue;
-        }
-        while (visited < cfg_.pagesToScan) {
-            // Merge-consume the dirty queue and the injected lane in
-            // cursor order. Injected visits are budget-exempt (their
-            // parallel twin only discovers them after the batch's size
-            // is fixed) but count as visits everywhere else.
-            const bool has_cur = q.curIdx < q.current.size();
-            const bool has_inj = q.injIdx < q.injected.size();
-            if (!has_cur && !has_inj)
-                break;
-            Gfn g;
-            bool from_injected;
-            if (!has_inj ||
-                (has_cur && q.current[q.curIdx] <= q.injected[q.injIdx])) {
-                g = q.current[q.curIdx++];
-                from_injected = false;
-            } else {
-                g = q.injected[q.injIdx++];
-                from_injected = true;
-            }
-            if (g < cur_gfn_ || g >= v.ept.size())
-                continue; // already visited this pass, or discarded
-            const std::uint64_t nc_before = stat_not_calm_;
-            if (scanOne(cur_vm_, g, v, ft, psv)) {
-                ++q.visitedThisPass;
-                if (from_injected)
-                    ++stat_pages_visited_;
-                else
-                    ++visited;
-            }
-            if (stat_not_calm_ != nc_before)
-                pmlRequeue(cur_vm_, g);
-            cur_gfn_ = g + 1;
-        }
-        if (q.curIdx >= q.current.size() &&
-            q.injIdx >= q.injected.size()) {
-            ++cur_vm_;
-            cur_gfn_ = 0;
-        }
-    }
-    stat_pages_visited_ += visited;
-    return visited;
-}
-
-std::uint64_t
-KsmScanner::scanBatchParallelPml()
-{
-    pmlDrain();
-
-    // Collect replicates scanBatchSerialPml()'s visit schedule
-    // read-only; classify/commit then run exactly as in the walk's
-    // parallel mode, so serial and parallel log-driven batches stay
-    // byte-identical (the requeue happens per page at commit).
-    work_.clear();
-    std::uint64_t visited = 0;
-    bool boundary = false;
-    while (visited < cfg_.pagesToScan) {
-        if (cur_vm_ >= hv_.vmCount()) {
-            boundary = true;
-            break;
-        }
-        const hv::Vm &v = hv_.vm(cur_vm_);
-        if (!v.mergeable) {
-            ++cur_vm_;
-            cur_gfn_ = 0;
-            continue;
-        }
-        PmlVmQueue &q = pmlQueue(cur_vm_);
-        pageStateRow(cur_vm_, v);
-        if (q.walkThisPass) {
-            const Gfn gfn_end = v.ept.size();
-            while (cur_gfn_ < gfn_end && visited < cfg_.pagesToScan) {
-                if (v.ept.entry(cur_gfn_).state ==
-                    hv::PageState::Resident) {
-                    work_.push_back(WorkItem{cur_vm_, cur_gfn_});
-                    ++visited;
-                    ++q.visitedThisPass;
-                }
-                ++cur_gfn_;
-            }
-            if (cur_gfn_ >= gfn_end) {
-                ++cur_vm_;
-                cur_gfn_ = 0;
-            }
-            continue;
-        }
-        while (visited < cfg_.pagesToScan) {
-            // Merge-consume the dirty queue and the injected lane in
-            // cursor order, mirroring scanBatchSerialPml(). Injected
-            // visits are budget-exempt so both modes cut the batch at
-            // the same page.
-            const bool has_cur = q.curIdx < q.current.size();
-            const bool has_inj = q.injIdx < q.injected.size();
-            if (!has_cur && !has_inj)
-                break;
-            Gfn g;
-            bool from_injected;
-            if (!has_inj ||
-                (has_cur && q.current[q.curIdx] <= q.injected[q.injIdx])) {
-                g = q.current[q.curIdx++];
-                from_injected = false;
-            } else {
-                g = q.injected[q.injIdx++];
-                from_injected = true;
-            }
-            if (g < cur_gfn_ || g >= v.ept.size())
-                continue;
-            if (v.ept.entry(g).state == hv::PageState::Resident) {
-                work_.push_back(WorkItem{cur_vm_, g});
-                ++q.visitedThisPass;
-                if (from_injected)
-                    ++stat_pages_visited_;
-                else
-                    ++visited;
-            }
-            cur_gfn_ = g + 1;
-        }
-        if (q.curIdx >= q.current.size() &&
-            q.injIdx >= q.injected.size()) {
-            ++cur_vm_;
-            cur_gfn_ = 0;
-        }
-    }
-
-    classifyAndCommit();
-    if (boundary)
-        passBoundary();
-    stat_pages_visited_ += visited;
-    return visited;
 }
 
 void

@@ -45,39 +45,51 @@
  * (KsmConfig::incrementalScan = false gives that reference mode; the
  * property tests drive both side by side).
  *
- * Parallel scanning (docs/PERF.md): with KsmConfig::scanThreads >= 2 a
- * batch runs in two phases. *Classify* shards the batch's work list
- * across a thread pool; workers do only read-only work against the
- * frozen pre-batch state (generation checks, checksum/digest
- * computation, stable-tree probes) and record a per-page verdict plus
- * the expensive values. *Commit* then replays the verdicts on the
- * calling thread in the exact serial visit order, performing every
- * mutation (merges, unstable-table inserts, per-page state updates,
- * counters, trace records) as the serial scanner would; a snapshot
- * value is substituted only under a write-generation proof that it is
- * what the serial visit would have computed, and any page whose frame
- * moved mid-commit falls back to a full serial visit
- * (`ksm.commit_replays`). Merges, counters and trace streams are
- * therefore byte-identical at any thread count.
+ * One pass pipeline (docs/PERF.md §3): every wake runs scanBatch(),
+ * which is a page source, then the visits, then the pass bookkeeping.
+ * The *collector* (collect()) produces the batch's resident candidates
+ * in canonical cursor order from either source — the cursor walk, or
+ * the PML dirty queues and injected lane (usePml), with a per-VM walk
+ * fallback after a ring overflow — and applies the budget rules: only
+ * resident pages count, injected revisits are exempt, and a pass
+ * boundary ends the batch. The visits then run on one of two
+ * back-ends over that work list:
+ *
+ *  - S = 1 (KsmConfig::commitShards, the default): a software-
+ *    pipelined serial visitor, fed in cache-sized chunks of collected
+ *    work. It gathers 16-page windows, computes their checksums and
+ *    digests with the lane-parallel batch kernels
+ *    (mem::checksumBatch/digestBatch, bit-identical per page to the
+ *    scalar members) and applies the per-page visit on the
+ *    precomputed values; settled revisits bypass the window. The
+ *    from-scratch reference mode visits page by page instead.
+ *  - S >= 2: classify, sharded commit and reduce, below.
  *
  * Sharded commit (docs/ARCHITECTURE.md, docs/PERF.md §9): with
- * KsmConfig::commitShards = S >= 2 the stable and unstable indexes are
- * partitioned into S digest-sharded slices (shard = digest mod S), so
- * every merge candidate pair lands in one shard by construction — a
- * candidate and whatever it can merge with hold identical content,
- * hence identical digests. The commit phase then runs as S independent
- * shard commits on the thread pool, each replaying its candidates in
- * canonical page order against its own slice of the trees, its own
- * stable-epoch stripes (mem::FrameTable stripes them by digest, and S
- * divides the stripe count) and its own write-generation lane, with
- * all cross-shard effects — sharing counters, frame frees, touches,
+ * KsmConfig::commitShards = S >= 2 a batch first runs *classify* on a
+ * pool of S workers: read-only work against the frozen pre-batch state
+ * (generation checks, checksum/digest computation, stable-tree probes)
+ * recording a per-page verdict plus the expensive values. The stable
+ * and unstable indexes are partitioned into S digest-sharded slices
+ * (shard = digest mod S), so every merge candidate pair lands in one
+ * shard by construction — a candidate and whatever it can merge with
+ * hold identical content, hence identical digests. The commit phase
+ * then runs as S independent shard commits on the pool, each
+ * replaying its candidates in canonical page order against its own
+ * slice of the trees, its own stable-epoch stripes (mem::FrameTable
+ * stripes them by digest, and S divides the stripe count) and its own
+ * write-generation lane, with all cross-shard effects — sharing counters, frame frees, touches,
  * hv stats, trace records — captured in a per-shard op log. A serial
  * reduce finally merges the S op logs with the non-candidate residual
  * stream by global work index and applies them in exactly the serial
- * order. Counters, merges, traces and documents are byte-identical to
- * S = 1 at any shard count; only `ksm.commit_shards` and
- * `ksm.shard_imbalance_max` (machine-sizing, like `ksm.scan_shards`)
- * depend on S.
+ * order; a snapshot value is used only under a write-generation proof
+ * that it is what the serial visit would have computed, and a page
+ * whose frame moved is replayed as a full visit (`ksm.commit_replays`).
+ * Counters, merges, traces and documents are byte-identical to S = 1
+ * at any shard count; only the machine-sizing counters
+ * (`ksm.commit_shards`, `ksm.shard_imbalance_max`, the split-only
+ * `ksm.scan_shards` / `ksm.precheck_candidates` / `ksm.commit_replays`
+ * and the window-shaped `ksm.batch_*`) depend on S.
  */
 
 #ifndef JTPS_KSM_KSM_SCANNER_HH
@@ -126,36 +138,12 @@ struct KsmConfig
      */
     bool incrementalScan = true;
     /**
-     * Worker threads for the scan's classify phase. <= 1 keeps the
-     * scan fully serial on the calling thread; >= 2 enables the
-     * two-phase classify/commit split. Merges, counters and traces
-     * are byte-identical at any value (docs/PERF.md); only
-     * `ksm.scan_shards` / `ksm.precheck_candidates` /
-     * `ksm.commit_replays` move off zero when the split is active.
-     */
-    unsigned scanThreads = 1;
-    /**
-     * Pages per classify shard. Fixed (not derived from scanThreads)
-     * so the shard boundaries — and with them `ksm.scan_shards` — are
-     * identical at every thread count. Tests shrink it to force
-     * multi-shard batches on tiny memories.
+     * Pages per classify span on the sharded path (commitShards >= 2).
+     * Fixed, so the span boundaries — and with them `ksm.scan_shards`
+     * and the classify windows — do not depend on scheduling. Tests
+     * shrink it to force multi-span batches on tiny memories.
      */
     std::uint32_t scanShardPages = 4096;
-    /**
-     * Content-kernel window width for the cold path: the visitor (and
-     * each classify shard) gathers up to this many candidate pages,
-     * decides which checksums/digests their visits will need, computes
-     * them with the lane-parallel batch kernels
-     * (mem::checksumBatch/digestBatch — bit-identical per page to the
-     * scalar members, but the independent multiply-xor chains overlap),
-     * and then applies the unchanged per-page logic on the precomputed
-     * values. 1 disables staging and reproduces today's per-page path
-     * exactly; values are clamped to [1, 128]. Merges, counters and
-     * traces are byte-identical at any width — only
-     * `ksm.batch_kernel_pages` / `ksm.batch_flushes` (machine-sizing)
-     * move.
-     */
-    std::uint32_t batchPages = 16;
     /**
      * Drive passes from the hypervisor's PML rings instead of walking
      * every resident page: each batch drains the rings into per-VM
@@ -175,12 +163,12 @@ struct KsmConfig
      * Digest shards for the commit phase. With S >= 2 the stable and
      * unstable indexes are partitioned by digest mod S and a batch's
      * merge candidates commit as S independent shard jobs on the
-     * thread pool, followed by a serial order-preserving reduce (see
+     * S-worker pool, followed by a serial order-preserving reduce (see
      * the file comment). Must divide mem::FrameTable::kStripes (64) so
      * every stable-epoch stripe is owned by exactly one shard.
-     * Byte-identical to 1 at any value; only `ksm.commit_shards` and
-     * `ksm.shard_imbalance_max` depend on it. Ignored (treated as 1)
-     * under usePml, whose ring/queue bookkeeping is inherently serial.
+     * Byte-identical to 1 at any value; only the machine-sizing
+     * counters (see the file comment) depend on it. Ignored (treated
+     * as 1) under usePml, whose ring/queue bookkeeping is serial.
      */
     unsigned commitShards = 1;
 };
@@ -318,8 +306,8 @@ class KsmScanner : public hv::PageEventListener
         Gfn gfn = invalidFrame;
     };
 
-    /** One entry of a parallel batch's work list: a resident page the
-     *  serial scan would have visited, in serial cursor order. */
+    /** One entry of a batch's work list: a resident page to visit, in
+     *  canonical cursor order. */
     struct WorkItem
     {
         VmId vm;
@@ -347,7 +335,7 @@ class KsmScanner : public hv::PageEventListener
      * merge into a stable frame and/or a stable promotion. The serial
      * reduce replays these in global work-index order, so sharing
      * counters, the frame free list, LRU touches, hv stats and trace
-     * records land exactly as the serial commit would have placed them.
+     * records land exactly as the S = 1 visitor would have placed them.
      */
     struct ShardOp
     {
@@ -384,25 +372,9 @@ class KsmScanner : public hv::PageEventListener
     };
 
     /**
-     * How commitOne() treats the live write-generation check. The
-     * serial commit uses Live; the sharded reduce replays residual
-     * (non-candidate) items after *all* shard promotions have landed,
-     * so it decides from the applied-op record instead: ForceReplay
-     * when a promotion with a smaller work index moved the frame's
-     * generation (the serial commit would have seen the mismatch),
-     * ForceCommit otherwise (a later promotion must not be seen).
-     */
-    enum class GenCheck : std::uint8_t
-    {
-        Live,
-        ForceReplay,
-        ForceCommit,
-    };
-
-    /**
      * Classify-phase verdict for one work item, produced read-only by
-     * a worker thread and consumed by the serial commit. `gen` is the
-     * proof token: commit uses the recorded values only while the
+     * a classify worker and consumed by the sharded commit. `gen` is
+     * the proof token: commit uses the recorded values only while the
      * frame's write generation still equals it, and falls back to a
      * full serial visit otherwise.
      */
@@ -453,9 +425,14 @@ class KsmScanner : public hv::PageEventListener
         bool hasDig = false;
     };
 
+    /** Content-kernel window width, in work items. */
+    static constexpr std::size_t kBatchPages = 16;
+    /** Work items the S = 1 visitor collects per chunk. */
+    static constexpr std::size_t kVisitChunk = 2048;
+
     /**
      * Structure-of-arrays staging for one content-kernel window
-     * (KsmConfig::batchPages). The gather loop pushes (vm, page-state
+     * (kBatchPages). The gather loop pushes (vm, page-state
      * row, gfn) items; stageWindow() then mirrors the visit's decision
      * tree read-only to find which kernels each visit will need, runs
      * the lane-parallel batch kernels over the needy pages, and leaves
@@ -531,17 +508,19 @@ class KsmScanner : public hv::PageEventListener
     void prefetchUnstableSlot(std::uint64_t digest) const;
 
     /**
-     * The serial visitors' lookahead: prefetch the write-generation
-     * and unstable-slot lines of the visit `prefetchDist` pages ahead,
-     * hiding their miss latency behind the visits in between.
+     * The serial visitor's lookahead: prefetch the write-generation
+     * and unstable-slot lines of the work item `prefetchDist` visits
+     * after @p i (on the same VM @p vm, whose EPT and page-state row
+     * are @p v and @p psv), hiding their miss latency behind the
+     * visits in between.
      */
-    void visitLookahead(const hv::Vm &v, const PageScanState *psv,
-                        Gfn gfn, Gfn gfn_end,
+    void visitLookahead(std::size_t i, VmId vm, const hv::Vm &v,
+                        const PageScanState *psv,
                         const mem::FrameTable &ft) const;
 
     /**
      * Visit one candidate page. @p v, @p ft and @p psv are hoisted by
-     * scanBatch() (the VM, frame table, and this VM's page-state row)
+     * the caller (the VM, frame table, and this VM's page-state row)
      * so the per-page path re-derives nothing. @p pre, when non-null,
      * carries batch-kernel values for this visit (see BatchPre).
      * @return true if the page was resident.
@@ -549,18 +528,18 @@ class KsmScanner : public hv::PageEventListener
     bool scanOne(VmId vm, Gfn gfn, const hv::Vm &v, mem::FrameTable &ft,
                  PageScanState *psv, const BatchPre *pre = nullptr);
 
-    /** The serial scan loop (scanThreads <= 1, and the reference the
-     *  parallel path must be byte-identical to). Dispatches to the
-     *  software-pipelined window loop unless batchPages == 1. */
-    std::uint64_t scanBatchSerial();
+    /**
+     * The collector: fill work_ with the batch's next resident
+     * candidates (at most @p limit) in canonical cursor order, from
+     * the cursor walk or the PML queues, adding the budget-counted
+     * ones to @p visited.
+     * @return true when the batch reached the end of a pass.
+     */
+    bool collect(std::uint64_t &visited, std::size_t limit);
 
-    /** scanBatchSerial(), gather/stage/apply flavour (batchPages >= 2):
-     *  same visits in the same order, with the content kernels hoisted
-     *  into lane-parallel windows. */
-    std::uint64_t scanBatchSerialBatched();
-
-    /** The two-phase collect/classify/commit scan loop. */
-    std::uint64_t scanBatchParallel();
+    /** The S = 1 back-end: visit work_ in order on the calling thread
+     *  (16-page kernel windows; page by page in reference mode). */
+    void visitSerial();
 
     /**
      * Per-VM dirty-queue state for log-driven passes (usePml). A pass
@@ -579,10 +558,8 @@ class KsmScanner : public hv::PageEventListener
          * Cross-pass-match revisits owed *this* pass (sorted): pages a
          * candidate met as a persistent unstable entry ahead of the
          * cursor. Kept apart from `current` because they are exempt
-         * from the batch's pagesToScan budget — serial and parallel
-         * batches must segment identically, and a parallel batch can
-         * only discover them after its collect already fixed the
-         * batch's size.
+         * from the batch's pagesToScan budget: the visits discover
+         * them only after the collector has fixed the batch's size.
          */
         std::vector<Gfn> injected;
         std::size_t curIdx = 0;
@@ -611,20 +588,14 @@ class KsmScanner : public hv::PageEventListener
      * the *current* pass: the page holds a live persistent unstable
      * entry that a candidate earlier in cursor order just matched, and
      * the walk would promote at this page's own visit. Inserts into
-     * the VM's `injected` lane, or — when a parallel batch's collect
-     * has already passed the position — splices a full-replay item
-     * into the unreplayed commit stream.
+     * the VM's `injected` lane, or — when the collector has already
+     * passed the position — splices it into the unvisited tail of
+     * work_ (the only mid-batch injection path).
      */
     void pmlScheduleThisPass(VmId vm, Gfn gfn);
 
-    /** Log-driven serial scan loop (usePml && scanThreads <= 1). */
-    std::uint64_t scanBatchSerialPml();
-
-    /** Log-driven collect feeding the shared classify/commit split. */
-    std::uint64_t scanBatchParallelPml();
-
-    /** Classify+commit work_[0, n) exactly as scanBatchParallel()
-     *  does (shared tail of both parallel collects). */
+    /** The S >= 2 back-end: classify work_ on the pool, then
+     *  commitSharded(). */
     void classifyAndCommit();
 
     /** Classify work_[begin, end) into snaps_ (worker thread;
@@ -639,12 +610,13 @@ class KsmScanner : public hv::PageEventListener
                      const PageScanState *psv, PageSnap &snap,
                      const BatchPre *pre = nullptr) const;
 
-    /** Replay one classified page on the calling thread, mutating
-     *  exactly as the serial visit would. */
-    void commitOne(VmId vm, Gfn gfn, const hv::Vm &v,
-                   mem::FrameTable &ft, PageScanState *psv,
-                   const PageSnap &snap,
-                   GenCheck gen_check = GenCheck::Live);
+    /** Replay one classified non-candidate page at the reduce,
+     *  mutating exactly as the serial visit would. @p replay: an
+     *  applied promotion moved the frame since classify, so run the
+     *  full serial visit instead. */
+    void commitResidual(VmId vm, Gfn gfn, const hv::Vm &v,
+                        mem::FrameTable &ft, PageScanState *psv,
+                        const PageSnap &snap, bool replay);
 
     /** Effective commit shard count: cfg_.commitShards, collapsed to 1
      *  under usePml or when <= 1. */
@@ -659,7 +631,7 @@ class KsmScanner : public hv::PageEventListener
 
     /** Sharded commit phase: partition the classified batch, run the
      *  S shard jobs on the pool, then reduce serially (see file
-     *  comment). Replaces the serial commit loop when S >= 2. */
+     *  comment). */
     void commitSharded(mem::FrameTable &ft);
 
     /** One shard's commit job (pool thread): replay the shard's
@@ -680,15 +652,12 @@ class KsmScanner : public hv::PageEventListener
     void applyShardOp(const ShardOp &op, mem::FrameTable &ft);
 
     /**
-     * Stable-probe + unstable-table stage shared by the serial visit
-     * and the commit replay. @p data may be null (loaded lazily);
-     * @p snap, when non-null, may let the stable probe be settled as
-     * a clean miss under the epoch proof.
+     * Stable-probe + unstable-table stage of a visit. @p data may be
+     * null (loaded lazily).
      */
     void treeStage(VmId vm, Gfn gfn, mem::FrameTable &ft,
                    PageScanState &ps, Hfn hfn, std::uint64_t digest,
-                   const mem::PageData *data, bool skip_stable_probe,
-                   const PageSnap *snap);
+                   const mem::PageData *data, bool skip_stable_probe);
 
     /** True iff a stableLookup of (@p data, @p digest) would miss
      *  without pruning anything. Read-only (worker-safe). */
@@ -721,10 +690,10 @@ class KsmScanner : public hv::PageEventListener
 
     /**
      * The generation-fast-path digest resolution shared by the serial
-     * visit (scanOne), the commit replay (commitOne) and the shard
-     * commits: serve the per-page cache, else cachedDigest(), install
-     * the result into @p ps, and derive the epoch-proved stable-probe
-     * skip. The caller has already counted the gen skip.
+     * visit (scanOne) and the shard commits: serve the per-page cache,
+     * else cachedDigest(), install the result into @p ps, and derive
+     * the epoch-proved stable-probe skip. The caller has already
+     * counted the gen skip.
      */
     std::uint64_t genCalmDigest(mem::FrameTable &ft, Hfn hfn,
                                 std::uint64_t gen, PageScanState &ps,
@@ -734,7 +703,8 @@ class KsmScanner : public hv::PageEventListener
                                 bool &skip_stable_probe);
 
     /**
-     * The slow-path content stage shared by the same three callers:
+     * The slow-path content stage shared by the serial visit, the
+     * shard commits and the residual replay (commitResidual()):
      * resolve the checksum (cachedChecksum() under incrementalScan,
      * direct otherwise), decide calmness against @p ps, update the
      * per-page state exactly as the serial visit always has, and — for
@@ -747,13 +717,6 @@ class KsmScanner : public hv::PageEventListener
                          const std::uint64_t *pre_dig,
                          std::uint64_t &digest_hits,
                          std::uint64_t &digest_out);
-
-    /** Advance the cursor; returns false at the end of a full pass. */
-    bool advanceCursor();
-
-    /** Pure cursor movement: skip to the next mergeable in-range
-     *  position; false at the end of a pass (no bookkeeping). */
-    bool cursorNext();
 
     /** End-of-pass bookkeeping: reset the cursor, bump the pass epoch,
      *  record the KsmFullScan trace event. */
@@ -770,9 +733,6 @@ class KsmScanner : public hv::PageEventListener
      */
     Hfn stableLookup(ShardState &sh, const mem::PageData &data,
                      std::uint64_t digest, std::uint64_t &stale_counter);
-
-    /** Lazily-sized per-page state for (vm, gfn). */
-    PageScanState &pageState(VmId vm, Gfn gfn);
 
     /** The whole page-state row of @p vm, sized to its EPT. */
     PageScanState *pageStateRow(VmId vm, const hv::Vm &v);
@@ -808,7 +768,7 @@ class KsmScanner : public hv::PageEventListener
     /** Reduce scratch: all shards' ops merged by work index. */
     std::vector<ShardOp> merged_ops_;
     /** Frames whose generation an *applied* promotion moved, for the
-     *  residual GenCheck decision. */
+     *  residual replay decision. */
     std::unordered_set<Hfn> bumped_;
     /** Running max of per-batch shard imbalance (see METRICS.md). */
     std::uint64_t shard_imbalance_max_ = 0;
@@ -820,16 +780,21 @@ class KsmScanner : public hv::PageEventListener
     std::vector<PmlVmQueue> pml_;
     /** Scratch for sorting freshly drained ring entries. */
     std::vector<Gfn> pml_pending_;
-    /** True while classifyAndCommit() replays commits: a cross-pass
-     *  revisit behind the collect cursor must splice into the commit
-     *  stream (at work_[pml_commit_idx_+1, …)) instead of a queue. */
-    bool pml_in_commit_ = false;
-    std::size_t pml_commit_idx_ = 0;
+    /** The collector stopped (budget or chunk) exactly as the cursor
+     *  VM's queues ran dry; scanBatch() decides after the visits
+     *  whether the VM is finished (a visit may inject a revisit into
+     *  it). */
+    bool pml_settle_cursor_ = false;
 
-    /** Classify workers (created on the first parallel batch). */
-    std::unique_ptr<ThreadPool> pool_;
-    /** Parallel batch buffers, reused across batches. */
+    /** The batch's work list (collect()), reused across batches. */
     std::vector<WorkItem> work_;
+    /** Index into work_ of the visit in progress: a splice lands
+     *  after it. */
+    std::size_t visit_idx_ = 0;
+
+    /** The S classify/commit workers (created on the first sharded
+     *  batch) and the classify verdicts, one per work item. */
+    std::unique_ptr<ThreadPool> pool_;
     std::vector<PageSnap> snaps_;
 
     /** Serial visitor's staging buffers, reused across windows. */
@@ -838,8 +803,8 @@ class KsmScanner : public hv::PageEventListener
      * Batch-kernel accounting from classify workers, folded into the
      * live counters after the pool barrier. Relaxed atomics: the folded
      * values are sums over all windows, so they are independent of
-     * worker interleaving — deterministic at any thread count (for a
-     * fixed scanShardPages, the windows themselves are too).
+     * worker interleaving (for a fixed scanShardPages, the windows
+     * themselves are fixed too).
      */
     std::atomic<std::uint64_t> batch_pages_acc_{0};
     std::atomic<std::uint64_t> batch_flush_acc_{0};
@@ -868,21 +833,22 @@ class KsmScanner : public hv::PageEventListener
     std::uint64_t &stat_hv_ksm_merges_;
 
     /**
-     * Wall-clock phase accounting for the two-phase scan, enabled by
-     * setting the JTPS_SCAN_PHASE_MS environment variable: one stderr
-     * line per completed pass, then reset. Measurement only — no
-     * behavioural effect — and the source of the serial-fraction
-     * numbers in docs/PERF.md §9.
+     * Wall-clock phase accounting per pass, enabled by setting the
+     * JTPS_SCAN_PHASE_MS environment variable: one stderr line per
+     * completed pass, then reset. Measurement only — no behavioural
+     * effect — and the source of the phase numbers in docs/PERF.md §9.
      */
     struct PhaseMs
     {
-        double collect = 0;   //!< serial cursor walk
-        double classify = 0;  //!< parallel read-only snapshotting
-        double partition = 0; //!< serial candidate/residual split
-        double shard = 0;     //!< parallel shard commits (wall)
-        double reduce = 0;    //!< serial op/residual interleave
-        double serial = 0;    //!< unsharded commit loop (S == 1)
-        double kernel = 0;    //!< batched content kernels (staging)
+        double collect = 0;   //!< the collector (walk or PML queues)
+        double classify = 0;  //!< S >= 2: parallel read-only snapshots
+        double partition = 0; //!< S >= 2: candidate/residual split
+        double shard = 0;     //!< S >= 2: parallel shard commits (wall)
+        double reduce = 0;    //!< S >= 2: op/residual interleave
+        double serial = 0;    //!< S == 1: the windowed visitor
+        double kernel = 0;    //!< staged content kernels (inside
+                              //!< serial; summed over classify
+                              //!< workers)
     };
     bool phase_timing_ = false;
     PhaseMs phase_ms_;

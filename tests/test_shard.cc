@@ -4,11 +4,11 @@
  *
  * The sharded commit (ksm::KsmConfig::commitShards) is a pure
  * machine-sizing knob: at any shard count, counters, merges, traces,
- * page contents and translations must be byte-identical to the
- * unsharded commit — only ksm.commit_shards and ksm.shard_imbalance_max
- * (which describe the machine, not the workload) may differ. These
- * suites drive twin hypervisor+scanner stacks in lockstep to enforce
- * that, plus the striped frame table's per-shard invariants.
+ * page contents and translations must be byte-identical to the default
+ * S = 1 scanner (the fused serial visitor) — only the counters that
+ * describe the machine, not the workload, may differ. These suites
+ * drive twin hypervisor+scanner stacks in lockstep to enforce that,
+ * plus the striped frame table's per-shard invariants.
  */
 
 #include <algorithm>
@@ -36,24 +36,26 @@ using mem::PageData;
 namespace
 {
 
-/** The two counters that legitimately differ across shard counts:
- *  they size the machine (how the commit was partitioned), never the
- *  workload (what was merged). Everything else must match. */
+/** The counters that legitimately differ across shard counts: they
+ *  size the machine (how the batch was partitioned, split and
+ *  windowed), never the workload (what was merged). The S = 1 visitor
+ *  leaves the split-only three at 0. Everything else must match. */
 const std::vector<std::string> shardOnlyCounters = {
-    "ksm.commit_shards",
-    "ksm.shard_imbalance_max",
+    "ksm.commit_shards",      "ksm.shard_imbalance_max",
+    "ksm.scan_shards",        "ksm.precheck_candidates",
+    "ksm.commit_replays",     "ksm.batch_kernel_pages",
+    "ksm.batch_flushes",
 };
 
-/** Scanner config for the sharded side: the parallel two-phase scan
- *  (both twins use it, so the scan-path counters agree) with the
- *  commit fanned out across @p shards digest shards. */
+/** Scanner config committing through @p shards digest shards, with
+ *  classify spans shrunk so even these tiny memories (3 VMs x 48
+ *  pages) fan out across several spans. */
 KsmConfig
 shardKsmCfg(unsigned shards)
 {
     KsmConfig c;
     c.pagesToScan = 500;
     c.incrementalScan = true;
-    c.scanThreads = 2;
     c.scanShardPages = 16;
     c.commitShards = shards;
     return c;
@@ -61,10 +63,9 @@ shardKsmCfg(unsigned shards)
 
 /**
  * Two complete stacks driven in lockstep: `inc` commits through
- * `shards` digest shards, `ref` through the serial commit loop
- * (commitShards = 1). Mirrors test_properties.cc's TwinStacks; the
- * comparison is total — counters, sharing, translations, contents,
- * trace streams.
+ * `shards` digest shards, `ref` is the default S = 1 scanner. Mirrors
+ * test_properties.cc's TwinStacks; the comparison is total — counters,
+ * sharing, translations, contents, trace streams.
  */
 struct ShardTwins
 {
@@ -148,9 +149,9 @@ struct ShardTwins
         }
     }
 
-    /** Full registry equality minus the two shard sizing counters.
-     *  Both scanners register every counter up front, so key sets
-     *  always agree. */
+    /** Full registry equality minus the shard sizing counters. Both
+     *  scanners register every counter up front, so key sets always
+     *  agree. */
     void
     expectRegistriesEqual(std::uint64_t seed)
     {
@@ -181,7 +182,7 @@ struct ShardTwins
     }
 };
 
-/** The fuzz op stream (same mix as the incremental/parallel twin
+/** The fuzz op stream (same mix as the incremental twin
  *  fuzzes): writes from a small content pool, single-sector writes,
  *  discards, scans, touches, huge-page flips. */
 void
@@ -253,8 +254,11 @@ TEST_P(ShardCommitEquivalenceFuzz, MatchesUnshardedCommit)
     EXPECT_EQ(t.ref_stats.get("ksm.commit_shards"), 1u);
     // ...and the equivalence is not vacuous: candidates flowed through
     // the shard jobs and real merges were committed through the
-    // deferred-op reduce.
+    // deferred-op reduce, while the reference never split a batch.
     EXPECT_GT(t.inc_stats.get("ksm.precheck_candidates"), 0u);
+    EXPECT_GT(t.inc_stats.get("ksm.scan_shards"), 0u);
+    EXPECT_EQ(t.ref_stats.get("ksm.precheck_candidates"), 0u);
+    EXPECT_EQ(t.ref_stats.get("ksm.scan_shards"), 0u);
     EXPECT_GT(t.inc_stats.get("ksm.stable_merges"), 0u);
     EXPECT_GT(t.inc_stats.get("ksm.unstable_promotions"), 0u);
 }

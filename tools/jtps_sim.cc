@@ -54,9 +54,7 @@ struct Options
     std::string jsonFile;
     std::string traceFile;
     unsigned analysisThreads = 1;
-    unsigned ksmThreads = 1;
     unsigned ksmCommitShards = 1;
-    unsigned ksmBatch = 16;
     // Cluster mode (--hosts > 0 switches from one Scenario to a fleet).
     int hosts = 0;
     int perHost = 4;
@@ -100,14 +98,10 @@ usage(const char *argv0)
         "  --trace FILE    record a structured event trace, write JSON\n"
         "  --analysis-threads N  walk the guests for end-of-run\n"
         "                  forensics on N threads (same bytes at any N)\n"
-        "  --ksm-threads N  classify KSM scan batches on N threads\n"
-        "                  (merges/counters identical at any N)\n"
-        "  --ksm-commit-shards S  commit KSM batches as S digest\n"
-        "                  shards + serial reduce (S divides 64;\n"
-        "                  byte-identical at any S; ignored with PML)\n"
-        "  --ksm-batch N   stage KSM content kernels over N-page\n"
-        "                  windows (1 disables; byte-identical at any\n"
-        "                  N, only ksm.batch_* counters move)\n"
+        "  --ksm-commit-shards S  classify and commit KSM batches on\n"
+        "                  S workers as S digest shards + serial\n"
+        "                  reduce (S divides 64; byte-identical at\n"
+        "                  any S; ignored with PML)\n"
         "cluster mode (fleet of independent hosts):\n"
         "  --hosts H       simulate H hosts (0 = single-host mode);\n"
         "                  --workload mix cycles all four workloads\n"
@@ -173,14 +167,8 @@ parse(int argc, char **argv)
         else if (arg == "--analysis-threads")
             opt.analysisThreads =
                 static_cast<unsigned>(std::strtoul(need(i), nullptr, 10));
-        else if (arg == "--ksm-threads")
-            opt.ksmThreads =
-                static_cast<unsigned>(std::strtoul(need(i), nullptr, 10));
         else if (arg == "--ksm-commit-shards")
             opt.ksmCommitShards =
-                static_cast<unsigned>(std::strtoul(need(i), nullptr, 10));
-        else if (arg == "--ksm-batch")
-            opt.ksmBatch =
                 static_cast<unsigned>(std::strtoul(need(i), nullptr, 10));
         else if (arg == "--hosts")
             opt.hosts = std::atoi(need(i));
@@ -203,8 +191,6 @@ parse(int argc, char **argv)
     if (opt.ksmCommitShards < 1 || opt.ksmCommitShards > 64 ||
         64 % opt.ksmCommitShards != 0)
         fatal("--ksm-commit-shards must divide 64 (1, 2, 4, ..., 64)");
-    if (opt.ksmBatch < 1 || opt.ksmBatch > 128)
-        fatal("--ksm-batch must be in [1, 128]");
     if (opt.adaptiveBalloon && opt.pmlRingSlots == 0)
         fatal("--adaptive-balloon requires --pml-ring N");
     if (opt.hosts < 0 || opt.hosts > 64)
@@ -525,9 +511,7 @@ main(int argc, char **argv)
     cfg.seed = opt.seed;
     cfg.analysisThreads =
         opt.analysisThreads == 0 ? 1 : opt.analysisThreads;
-    cfg.ksmScanThreads = opt.ksmThreads == 0 ? 1 : opt.ksmThreads;
     cfg.ksmCommitShards = opt.ksmCommitShards;
-    cfg.ksmBatchPages = opt.ksmBatch;
     cfg.pmlRingSlots = opt.pmlRingSlots;
     cfg.adaptiveBalloon = opt.adaptiveBalloon;
 
