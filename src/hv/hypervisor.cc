@@ -28,7 +28,8 @@ Hypervisor::Hypervisor(const HostConfig &cfg, StatSet &stats)
                          swapCompressionRatio),
       pml_ring_slots_(cfg.pmlRingSlots),
       stat_pml_appends_(stats.counter("hv.pml_appends")),
-      stat_pml_overflows_(stats.counter("hv.pml_overflows"))
+      stat_pml_overflows_(stats.counter("hv.pml_overflows")),
+      stat_ksm_merges_(stats.counter("hv.ksm_merges"))
 {
     // Registered at zero so every registry carries the counters whether
     // or not a run ever retires a VM (docs/METRICS.md contract).
@@ -507,7 +508,7 @@ Hypervisor::ksmMergeInto(Hfn stable, VmId vm_id, Gfn gfn)
     frames_.touch(stable);
     e.backing = stable;
     e.writeProtected = true;
-    stats_.inc("hv.ksm_merges");
+    ++stat_ksm_merges_;
     return true;
 }
 
@@ -531,10 +532,12 @@ Hypervisor::ksmMakeStable(VmId vm_id, Gfn gfn)
 
 bool
 Hypervisor::ksmMergeIntoShard(Hfn stable, VmId vm_id, Gfn gfn,
-                              bool *freed_source, Hfn *source)
+                              KsmShardEffect &fx)
 {
-    *freed_source = false;
-    *source = invalidFrame;
+    fx.stable = stable;
+    fx.source = invalidFrame;
+    fx.merged = false;
+    fx.freedSource = false;
     Vm &v = vm(vm_id);
     EptEntry &e = v.ept.entry(gfn);
     if (e.state != PageState::Resident)
@@ -551,23 +554,21 @@ Hypervisor::ksmMergeIntoShard(Hfn stable, VmId vm_id, Gfn gfn,
     jtps_assert(sf.ksmStable && !sf.pinned);
 
     const mem::Mapping m{vm_id, gfn};
-    *source = e.backing;
-    *freed_source = frames_.removeMappingShard(e.backing, m);
+    fx.source = e.backing;
+    fx.freedSource = frames_.removeMappingShard(e.backing, m);
     frames_.addMappingShard(stable, m);
     e.backing = stable;
     e.writeProtected = true;
-    // touch(stable), hv.ksm_merges and the sharing counters run at the
-    // serial reduce, in canonical order.
+    fx.merged = true;
     return true;
 }
 
 Hfn
 Hypervisor::ksmMakeStableShard(VmId vm_id, Gfn gfn, std::uint64_t digest,
-                               unsigned lane, bool *transitioned,
-                               std::uint32_t *refcount_at_set)
+                               unsigned lane, KsmShardEffect &fx)
 {
-    *transitioned = false;
-    *refcount_at_set = 0;
+    fx.transitioned = false;
+    fx.refcountAtSet = 0;
     Vm &v = vm(vm_id);
     EptEntry &e = v.ept.entry(gfn);
     if (e.state != PageState::Resident)
@@ -575,12 +576,13 @@ Hypervisor::ksmMakeStableShard(VmId vm_id, Gfn gfn, std::uint64_t digest,
 
     mem::Frame &f = frames_.frame(e.backing);
     jtps_assert(!f.pinned);
+    fx.stable = e.backing;
     if (!f.ksmStable) {
         // Real transition (the serial setKsmStable() would no-op on an
         // already-stable frame): shard-side flag/epoch/generation now,
-        // counters at the reduce via the recorded refcount.
-        *transitioned = true;
-        *refcount_at_set = f.refcount;
+        // counters at ksmFinishShard() via the recorded refcount.
+        fx.transitioned = true;
+        fx.refcountAtSet = f.refcount;
         frames_.setKsmStableShard(e.backing, digest, lane);
     }
     // Write-protect every mapping of the frame so any write COWs. The
@@ -590,6 +592,22 @@ Hypervisor::ksmMakeStableShard(VmId vm_id, Gfn gfn, std::uint64_t digest,
         vm(m.vm).ept.entry(m.gfn).writeProtected = true;
     });
     return e.backing;
+}
+
+void
+Hypervisor::ksmFinishShard(const KsmShardEffect &fx)
+{
+    // The order ksmMakeStable() + ksmMergeInto() produce: promotion
+    // counters, then the merge's free, sharing add, touch and stat.
+    if (fx.transitioned)
+        frames_.commitStablePromote(fx.stable, fx.refcountAtSet);
+    if (!fx.merged)
+        return;
+    if (fx.freedSource)
+        frames_.finishDeferredFree(fx.source);
+    frames_.commitSharingAdd(fx.stable);
+    frames_.touch(fx.stable);
+    ++stat_ksm_merges_;
 }
 
 std::uint64_t

@@ -101,6 +101,22 @@ struct PmlEntry
     std::uint64_t gen = 0;
 };
 
+/**
+ * The deferred half of one KSM commit-shard merge and/or promotion:
+ * ksmMakeStableShard() and ksmMergeIntoShard() fill it, and
+ * Hypervisor::ksmFinishShard() retires it serially, in canonical order.
+ */
+struct KsmShardEffect
+{
+    Hfn stable = invalidFrame;       //!< merge target / promoted frame
+    Hfn source = invalidFrame;       //!< pre-merge backing of the page
+    std::uint32_t refcountAtSet = 0; //!< target refcount when promoted
+    bool transitioned = false; //!< the promotion actually set the flag
+    bool merged = false;       //!< the merge attempt succeeded
+    bool freedSource = false;  //!< the merge unmapped the source's last
+                               //!< mapping (a deferred-free zombie)
+};
+
 /** One guest VM. */
 struct Vm
 {
@@ -167,8 +183,11 @@ class Hypervisor
     Vm &vm(VmId id);
     const Vm &vm(VmId id) const;
 
-    /** The host frame table (analysis and tests read it). */
-    mem::FrameTable &frames() { return frames_; }
+    /**
+     * The host frame table, read-only: every frame mutation goes
+     * through the hypervisor (the write funnel, the TPS primitives), so
+     * nothing outside it can change content behind pageForWrite().
+     */
     const mem::FrameTable &frames() const { return frames_; }
 
     /** The host swap device. */
@@ -247,26 +266,32 @@ class Hypervisor
      * entry and the two frames' own fields. Digest-sharding makes every
      * touched structure shard-local — the source frame holds the same
      * content as @p stable, so both frames, and every page mapping
-     * them, belong to the caller's digest shard. The frame touch, the
-     * hv.ksm_merges stat and the sharing counters are deferred to the
-     * serial reduce; @p freed_source / @p source report whether (and
-     * which) source frame became a deferred-free zombie so the reduce
-     * can retire it in canonical order.
+     * them, belong to the caller's digest shard. Records the target,
+     * the source and whether it became a deferred-free zombie in
+     * @p fx; everything else is owed to ksmFinishShard().
      */
     bool ksmMergeIntoShard(Hfn stable, VmId vm, Gfn gfn,
-                           bool *freed_source, Hfn *source);
+                           KsmShardEffect &fx);
 
     /**
      * ksmMakeStable() restricted to a KSM commit shard. @p digest must
      * be the page content's digest (it selects the epoch stripe) and
-     * @p lane the shard's generation lane. Mirrors the serial call's
-     * already-stable no-op; on a real transition, @p transitioned is
-     * set and @p refcount_at_set records the refcount the counters-side
-     * completion (FrameTable::commitStablePromote at the reduce) needs.
+     * @p lane the caller's generation lane (0 serially, which draws
+     * the same generations as ksmMakeStable()). Mirrors the serial
+     * call's already-stable no-op; on a real transition, records the
+     * refcount the counters-side completion needs in @p fx.
      */
     Hfn ksmMakeStableShard(VmId vm, Gfn gfn, std::uint64_t digest,
-                           unsigned lane, bool *transitioned,
-                           std::uint32_t *refcount_at_set);
+                           unsigned lane, KsmShardEffect &fx);
+
+    /**
+     * Serial completion of one commit-shard effect, in canonical
+     * order: the promotion's stable/sharing counters, then — if the
+     * merge succeeded — the deferred source free, the sharing add,
+     * the frame touch and hv.ksm_merges, exactly as ksmMakeStable() +
+     * ksmMergeInto() would have left them.
+     */
+    void ksmFinishShard(const KsmShardEffect &fx);
 
     /**
      * Run one whole-memory TPS pass immediately: merge every pair of
@@ -397,6 +422,7 @@ class Hypervisor
     // so it never does a string-keyed StatSet lookup.
     std::uint64_t &stat_pml_appends_;
     std::uint64_t &stat_pml_overflows_;
+    std::uint64_t &stat_ksm_merges_;
 };
 
 /**

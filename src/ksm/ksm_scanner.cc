@@ -63,8 +63,7 @@ KsmScanner::KsmScanner(hv::Hypervisor &hv, const KsmConfig &cfg,
       stat_pml_skipped_(stats.counter("ksm.pages_pml_skipped")),
       stat_shard_imbalance_(stats.counter("ksm.shard_imbalance_max")),
       stat_batch_kernel_pages_(stats.counter("ksm.batch_kernel_pages")),
-      stat_batch_flushes_(stats.counter("ksm.batch_flushes")),
-      stat_hv_ksm_merges_(hv.stats().counter("hv.ksm_merges"))
+      stat_batch_flushes_(stats.counter("ksm.batch_flushes"))
 {
     // Log-driven passes are only complete if every write has been
     // funneled into a ring since the VMs existed.
@@ -188,7 +187,7 @@ KsmScanner::cachedChecksum(Hfn hfn, std::uint64_t gen,
 }
 
 std::uint64_t
-KsmScanner::genCalmDigest(mem::FrameTable &ft, Hfn hfn,
+KsmScanner::genCalmDigest(const mem::FrameTable &ft, Hfn hfn,
                           std::uint64_t gen, PageScanState &ps,
                           const mem::PageData *&data,
                           const std::uint64_t *pre,
@@ -197,9 +196,7 @@ KsmScanner::genCalmDigest(mem::FrameTable &ft, Hfn hfn,
 {
     // Generation fast path, non-stable: serve the digest from the
     // per-page cache, falling back to the frame memo (first revisit),
-    // and derive the epoch-proved stable-probe skip. Shared verbatim
-    // by the serial visit and the shard commits — only the counter
-    // sinks differ.
+    // and derive the epoch-proved stable-probe skip.
     std::uint64_t digest;
     if (ps.digestValid) {
         ++digest_hits;
@@ -216,7 +213,7 @@ KsmScanner::genCalmDigest(mem::FrameTable &ft, Hfn hfn,
 }
 
 bool
-KsmScanner::slowPathContent(mem::FrameTable &ft, Hfn hfn,
+KsmScanner::slowPathContent(const mem::FrameTable &ft, Hfn hfn,
                             std::uint64_t gen, PageScanState &ps,
                             const mem::PageData *&data,
                             const std::uint32_t *pre_sum,
@@ -315,236 +312,6 @@ KsmScanner::stableLookup(ShardState &sh, const mem::PageData &data,
     if (chain.empty())
         sh.stableTree.erase(bucket);
     return found;
-}
-
-bool
-KsmScanner::scanOne(VmId vm, Gfn gfn, const hv::Vm &v,
-                    mem::FrameTable &ft, PageScanState *psv,
-                    const BatchPre *pre)
-{
-    const hv::EptEntry &e = v.ept.entry(gfn);
-    if (e.state != hv::PageState::Resident)
-        return false; // not resident: nothing to merge
-
-    if (!v.hugePages.empty() && v.hugePages[gfn]) {
-        // THP-backed memory is not madvise-MERGEABLE: skip.
-        ++stat_skipped_huge_;
-        return true;
-    }
-
-    const Hfn hfn = e.backing;
-    const std::uint64_t gen = ft.writeGen(hfn);
-    PageScanState &ps = psv[gfn];
-    // The page content, loaded only on the paths that need it: the
-    // generation fast path below settles most visits from the dense
-    // generation array and this VM's page-state row alone.
-    const mem::PageData *data = nullptr;
-    std::uint64_t digest;
-    bool skip_stable_probe = false;
-
-    if (cfg_.incrementalScan && ps.lastGen == gen) {
-        // The frame's write generation has not moved since the last
-        // completed visit. Generations are globally unique and bumped
-        // on every content change, reallocation, and stable-flag
-        // transition, so equality proves this is the same frame, with
-        // the same stable flag and byte-identical content: the
-        // checksum compare would come out calm. Stable pages are done
-        // (a from-scratch visit early-returns on them); for the rest,
-        // serve the digest from the per-page cache (or the frame memo
-        // on the first revisit). A stable-tree probe that missed at
-        // ps.lastStableEpoch must still miss while the epoch is
-        // unchanged (stable frames only gain sharers without an epoch
-        // bump, and every staleness or capacity transition bumps it),
-        // so it is skipped as well.
-        ++stat_gen_skipped_;
-        if (ps.lastStable)
-            return true; // provably still a shared KSM page
-        digest = genCalmDigest(ft, hfn, gen, ps, data,
-                               pre && pre->hasDig ? &pre->dig : nullptr,
-                               stat_digest_cache_hits_,
-                               skip_stable_probe);
-    } else {
-        const mem::Frame &frame = ft.frame(hfn);
-        if (frame.ksmStable) {
-            // Remember the outcome (incremental mode only — the
-            // calm-protocol fields stay untouched either way, exactly
-            // like a from-scratch visit): while the generation holds,
-            // revisits return here without loading the Frame.
-            if (cfg_.incrementalScan) {
-                ps.lastGen = gen;
-                ps.lastStable = true;
-                ps.digestValid = false;
-                ps.lastStableEpoch = 0;
-            }
-            return true; // already a shared KSM page
-        }
-        data = &frame.data;
-        if (!slowPathContent(ft, hfn, gen, ps, data,
-                             pre && pre->hasSum ? &pre->sum : nullptr,
-                             pre && pre->hasDig ? &pre->dig : nullptr,
-                             stat_digest_cache_hits_, digest)) {
-            ++stat_not_calm_;
-            // The calm protocol still owes this page a second visit;
-            // log-driven passes only revisit what they queue.
-            if (cfg_.usePml)
-                pmlRequeue(vm, gfn);
-            return true;
-        }
-    }
-
-    treeStage(vm, gfn, ft, ps, hfn, digest, data, skip_stable_probe);
-    return true;
-}
-
-void
-KsmScanner::treeStage(VmId vm, Gfn gfn, mem::FrameTable &ft,
-                      PageScanState &ps, Hfn hfn, std::uint64_t digest,
-                      const mem::PageData *data, bool skip_stable_probe)
-{
-    ShardState &sh = shards_[shardFor(digest)];
-
-    // Stable tree first.
-    if (!skip_stable_probe) {
-        if (!data)
-            data = &ft.frame(hfn).data;
-        const Hfn stable =
-            stableLookup(sh, *data, digest, stat_stale_stable_);
-        if (stable != invalidFrame) {
-            if (hv_.ksmMergeInto(stable, vm, gfn)) {
-                ++merges_this_pass_;
-                ++merges_total_;
-                ++stat_stable_merges_;
-                if (TraceBuffer *t = hv_.trace())
-                    t->record(TraceEventType::KsmStableMerge, vm, gfn,
-                              stable);
-            }
-            return;
-        }
-        // Record the miss: while the stable epoch stays put, revisits
-        // of this unchanged page may skip the probe (and the pruning
-        // it would do — a missing probe already pruned its bucket
-        // clean).
-        ps.lastStableEpoch = ft.ksmStableEpoch(digest);
-    }
-
-    // Unstable tree: find another calm page with the same content seen
-    // earlier in this pass. One walk serves both the lookup and, on a
-    // miss, the insert position (the first reusable stale/tombstone
-    // slot in the chain, or its empty terminator).
-    const std::size_t mask = sh.unstable.size() - 1;
-    std::size_t slot = npos;
-    std::size_t insert_at = npos;
-    for (std::size_t i = unstableSlotHash(digest) & mask;;
-         i = (i + 1) & mask) {
-        const UnstableSlot &s = sh.unstable[i];
-        if (s.epoch == 0) {
-            if (insert_at == npos)
-                insert_at = i;
-            break; // end of chain: not in this pass's tree
-        }
-        if (s.epoch == pass_epoch_) {
-            if (s.digest == digest) {
-                slot = i;
-                break;
-            }
-        } else if (insert_at == npos) {
-            insert_at = i; // stale/tombstone slot: reusable
-        }
-    }
-
-    if (slot != npos) {
-        UnstableSlot &u = sh.unstable[slot];
-        if (u.vm == vm && u.gfn == gfn) {
-            return; // same page revisited
-        }
-        if (!data)
-            data = &ft.frame(hfn).data;
-        const mem::PageData *other = hv_.peek(u.vm, u.gfn);
-        bool entry_stale = other == nullptr || !(*other == *data);
-        if (!entry_stale && cfg_.usePml) {
-            // A persistent entry can outlive its page's promotion into
-            // the stable tree (a walk pass cannot: stable pages never
-            // insert). If the chain is full its content can even still
-            // match ours; promoting a stable page again would be
-            // wrong, so the entry is stale — exactly as the walk,
-            // whose table never contained the page this pass.
-            const hv::Vm &uv = hv_.vm(u.vm);
-            const hv::EptEntry &ue = uv.ept.entry(u.gfn);
-            if (ft.frame(ue.backing).ksmStable)
-                entry_stale = true;
-            // Likewise a page that became THP-backed since insertion:
-            // the walk skips huge pages before the tree stage, so this
-            // pass's table would never have held it.
-            else if (!uv.hugePages.empty() && uv.hugePages[u.gfn])
-                entry_stale = true;
-        }
-        if (entry_stale) {
-            // The tree node went stale (page rewritten or swapped out)
-            // — or, vanishingly rarely, its digest collides with ours;
-            // either way, replace it with the current candidate.
-            u.vm = vm;
-            u.gfn = gfn;
-            ++stat_stale_unstable_;
-            return;
-        }
-        // A valid persistent entry *later* in cursor order: the walk's
-        // fresh table could not have contained it at this visit — the
-        // walk would have inserted the candidate here, and the entry's
-        // page would have met it at its own, later visit. Reproduce
-        // that exactly: the candidate takes over the slot, and the
-        // entry's old page is scheduled for a visit at its canonical
-        // position this pass (where its probe finds the candidate and
-        // promotes it — same merge, same frame-allocation order, same
-        // trace position as the walk). Only pages with a live
-        // cross-pass match pay this revisit, so passes stay
-        // O(dirty + matches).
-        if (cfg_.usePml &&
-            (vm < u.vm || (vm == u.vm && gfn < u.gfn))) {
-            pmlScheduleThisPass(u.vm, u.gfn);
-            u.vm = vm;
-            u.gfn = gfn;
-            return;
-        }
-        // The table entry — visited earlier in the pass — becomes the
-        // stable frame; the candidate merges into it.
-        Hfn fresh = hv_.ksmMakeStable(u.vm, u.gfn);
-        jtps_assert(fresh != invalidFrame);
-        sh.stableTree[digest].push_back(fresh);
-        u.epoch = tombstoneEpoch; // erase, keeping probe chains intact
-        --sh.live;
-        if (hv_.ksmMergeInto(fresh, vm, gfn)) {
-            ++merges_this_pass_;
-            ++merges_total_;
-            ++stat_unstable_promotions_;
-            if (TraceBuffer *t = hv_.trace())
-                t->record(TraceEventType::KsmUnstablePromotion, vm, gfn,
-                          fresh);
-        }
-        return;
-    }
-
-    // Miss: insert. Keep at least ~30% never-used slots so probe
-    // chains terminate quickly; the check runs only when this insert
-    // would consume an empty slot, so a steady-state pass over
-    // unchanged memory re-inserts into the previous pass's (now stale)
-    // slots without ever allocating or rehashing.
-    if (sh.unstable[insert_at].epoch == 0) {
-        if ((sh.occupied + 1) * 10 >= sh.unstable.size() * 7) {
-            std::size_t cap = sh.unstable.size();
-            while (cap < 4 * (sh.live + 1))
-                cap *= 2;
-            unstableRehash(sh, cap);
-            // Re-derive the insert position in the rehashed table
-            // (all remaining slots are live entries of this pass).
-            const std::size_t m2 = sh.unstable.size() - 1;
-            insert_at = unstableSlotHash(digest) & m2;
-            while (sh.unstable[insert_at].epoch != 0)
-                insert_at = (insert_at + 1) & m2;
-        }
-        ++sh.occupied;
-    }
-    sh.unstable[insert_at] = UnstableSlot{digest, pass_epoch_, vm, gfn};
-    ++sh.live;
 }
 
 void
@@ -788,26 +555,27 @@ KsmScanner::visitLookahead(std::size_t i, VmId vm, const hv::Vm &v,
 void
 KsmScanner::visitSerial()
 {
-    mem::FrameTable &ft = hv_.frames();
+    const mem::FrameTable &ft = hv_.frames();
     if (!cfg_.incrementalScan) {
         // The from-scratch reference visits page by page with no
         // kernel staging: an oracle that shares none of that code.
         for (std::size_t i = 0; i < work_.size(); ++i) {
             const WorkItem w = work_[i];
-            const hv::Vm &v = hv_.vm(w.vm);
             visit_idx_ = i;
-            scanOne(w.vm, w.gfn, v, ft, page_state_[w.vm].data());
+            visitNow(static_cast<std::uint32_t>(i), w.vm, w.gfn,
+                     hv_.vm(w.vm), ft, page_state_[w.vm].data(), nullptr);
         }
+        foldCounters(serial_counters_);
         return;
     }
 
     // Software-pipelined visits: gather a window of work items, stage
     // the content kernels lane-parallel over the whole window, then
-    // apply the unchanged per-page visits on the precomputed values.
-    // Page content, residency and huge flags are frozen for the batch
-    // — no guest runs mid-batch and the scanner never writes page
-    // data — so a precomputed value is always what the visit would
-    // have computed; visits that stop before needing one (a frame an
+    // classify and commit each item on the precomputed values. Page
+    // content, residency and huge flags are frozen for the batch — no
+    // guest runs mid-batch and the scanner never writes page data — so
+    // a precomputed value is always what the visit would have
+    // computed; visits that stop before needing one (a frame an
     // earlier visit in the window just promoted, say) ignore it.
     KernelStage &ks = serial_stage_;
     VmId last_vm = invalidVm;
@@ -833,16 +601,22 @@ KsmScanner::visitSerial()
                 // preserved — the bypass only runs with nothing staged
                 // ahead of it. Generation equality needs the huge
                 // check first: a THP flip rebacks the page, so a stale
-                // row could otherwise alias the new frame.
+                // row could otherwise alias the new frame. The test
+                // is classifyOne()'s verdict for these pages.
                 const PageScanState &ps = psv[w.gfn];
                 if ((v->hugePages.empty() || !v->hugePages[w.gfn]) &&
                     ps.lastGen == ft.writeGen(e.backing) &&
                     (ps.lastStable || ps.digestValid)) {
                     visit_idx_ = i;
-                    if (ps.lastStable)
-                        ++stat_gen_skipped_; // the whole visit
-                    else
-                        scanOne(w.vm, w.gfn, *v, ft, psv);
+                    if (ps.lastStable) {
+                        ++serial_counters_.genSkipped; // the whole visit
+                    } else {
+                        PageSnap snap;
+                        snap.kind = PageSnap::Kind::GenCalm;
+                        snap.gen = ps.lastGen;
+                        visitNow(static_cast<std::uint32_t>(i), w.vm,
+                                 w.gfn, *v, ft, psv, nullptr, &snap);
+                    }
                     ++i;
                     wbegin = i;
                     continue;
@@ -859,14 +633,14 @@ KsmScanner::visitSerial()
             if (ks.stableSettled[k]) {
                 // The staged verdict is the whole visit (see
                 // stageWindow pass 0).
-                ++stat_gen_skipped_;
+                ++serial_counters_.genSkipped;
                 continue;
             }
             const WorkItem w = work_[wbegin + k];
             const std::size_t n = work_.size();
             visit_idx_ = wbegin + k;
-            scanOne(w.vm, w.gfn, *ks.vms[k], ft, page_state_[w.vm].data(),
-                    &ks.pre[k]);
+            visitNow(static_cast<std::uint32_t>(visit_idx_), w.vm, w.gfn,
+                     *ks.vms[k], ft, page_state_[w.vm].data(), &ks.pre[k]);
             if (work_.size() != n) {
                 // A cross-pass revisit was spliced in behind this
                 // visit: the staged items after it no longer line up
@@ -876,6 +650,7 @@ KsmScanner::visitSerial()
             }
         }
     }
+    foldCounters(serial_counters_);
     stat_batch_kernel_pages_ += ks.kernelPages;
     stat_batch_flushes_ += ks.flushes;
     ks.kernelPages = 0;
@@ -1097,15 +872,16 @@ void
 KsmScanner::classifyOne(Gfn gfn, const hv::Vm &v,
                         const mem::FrameTable &ft,
                         const PageScanState *psv, PageSnap &snap,
-                        const BatchPre *pre) const
+                        const BatchPre *pre, bool probe) const
 {
-    // Residency was established by the collect walk and is frozen for
-    // the batch (the scanner never allocates, evicts or discards), so
-    // this mirrors the serial decision tree from the huge-page check
-    // down — reading, never writing. The per-page state is safe to
-    // read here because only a page's own visit mutates it, and this
-    // page's commit has not run yet.
+    // The visit's decision tree from the huge-page check down —
+    // reading, never writing. Residency was established by the
+    // collector and is frozen for the batch (the scanner never
+    // allocates, evicts or discards). The per-page state is safe to
+    // read on a classify worker because only a page's own commit
+    // mutates it, and this page's commit has not run yet.
     if (!v.hugePages.empty() && v.hugePages[gfn]) {
+        // THP-backed memory is not madvise-MERGEABLE: skip.
         snap.kind = PageSnap::Kind::Huge;
         return;
     }
@@ -1114,36 +890,53 @@ KsmScanner::classifyOne(Gfn gfn, const hv::Vm &v,
     const std::uint64_t gen = ft.writeGen(hfn);
     const PageScanState &ps = psv[gfn];
     snap.gen = gen;
+    const bool has_pre_dig = pre && pre->hasDig;
+    if (has_pre_dig) {
+        snap.digest = pre->dig;
+        snap.hasDigest = true;
+    }
 
     std::uint64_t digest;
     if (cfg_.incrementalScan && ps.lastGen == gen) {
+        // The frame's write generation has not moved since the last
+        // completed visit. Generations are globally unique and bumped
+        // on every content change, reallocation, and stable-flag
+        // transition, so equality proves this is the same frame, with
+        // the same stable flag and byte-identical content: the
+        // checksum compare would come out calm. Stable pages are done
+        // (a from-scratch visit stops at them); the rest are merge
+        // candidates whose digest the per-page cache or the frame memo
+        // serves at commit.
         if (ps.lastStable) {
             snap.kind = PageSnap::Kind::GenStable;
             return;
         }
         snap.kind = PageSnap::Kind::GenCalm;
+        if (!probe)
+            return;
         if (ps.digestValid) {
             digest = ps.lastDigest;
         } else {
-            digest = pre && pre->hasDig ? pre->dig
-                                        : ft.frame(hfn).data.digest();
+            digest = has_pre_dig ? pre->dig : ft.frame(hfn).data.digest();
             snap.digest = digest;
             snap.hasDigest = true;
         }
-        // Commit re-evaluates the serial epoch-skip rule against the
+        // Commit re-evaluates the epoch-skip rule against the
         // then-current epoch; probing here would be wasted work when
         // the skip is going to hold.
         if (ps.lastStableEpoch != 0 &&
             ps.lastStableEpoch == ft.ksmStableEpoch(digest))
             return;
     } else {
-        if (ft.frame(hfn).ksmStable) {
+        const mem::Frame &frame = ft.frame(hfn);
+        if (frame.ksmStable) {
             snap.kind = PageSnap::Kind::SlowStable;
             return;
         }
-        const mem::PageData &data = ft.frame(hfn).data;
+        // The calm protocol: a page whose checksum moved since the
+        // last visit is not calm and is skipped.
         const std::uint32_t sum =
-            pre && pre->hasSum ? pre->sum : data.checksum();
+            pre && pre->hasSum ? pre->sum : frame.data.checksum();
         snap.checksum = sum;
         snap.hasChecksum = true;
         if (!(ps.checksumValid && ps.lastChecksum == sum)) {
@@ -1151,9 +944,13 @@ KsmScanner::classifyOne(Gfn gfn, const hv::Vm &v,
             return;
         }
         snap.kind = PageSnap::Kind::SlowCalm;
-        digest = pre && pre->hasDig ? pre->dig : data.digest();
-        snap.digest = digest;
-        snap.hasDigest = true;
+        if (!probe)
+            return;
+        if (!has_pre_dig) {
+            snap.digest = frame.data.digest();
+            snap.hasDigest = true;
+        }
+        digest = snap.digest;
     }
 
     // Read-only stable probe. Only a clean miss is recorded: any
@@ -1164,16 +961,113 @@ KsmScanner::classifyOne(Gfn gfn, const hv::Vm &v,
     snap.probeEpoch = ft.ksmStableEpoch(digest);
 }
 
+bool
+KsmScanner::commitOne(ShardOp &op, const hv::Vm &v,
+                      const mem::FrameTable &ft, PageScanState &ps,
+                      const PageSnap &snap, unsigned lane,
+                      ShardCounters &c)
+{
+    switch (snap.kind) {
+    case PageSnap::Kind::Huge:
+        ++c.skippedHuge;
+        return false;
+    case PageSnap::Kind::GenStable:
+        ++c.genSkipped; // provably still a shared KSM page
+        return false;
+    case PageSnap::Kind::SlowStable:
+        // Remember the outcome (incremental mode only — the
+        // calm-protocol fields stay untouched either way, exactly like
+        // a from-scratch visit): while the generation holds, revisits
+        // settle without loading the Frame.
+        if (cfg_.incrementalScan) {
+            ps.lastGen = snap.gen;
+            ps.lastStable = true;
+            ps.digestValid = false;
+            ps.lastStableEpoch = 0;
+        }
+        return false;
+    case PageSnap::Kind::NotCalm:
+    case PageSnap::Kind::GenCalm:
+    case PageSnap::Kind::SlowCalm:
+        break;
+    }
+
+    const Hfn hfn = v.ept.entry(op.gfn).backing;
+    const std::uint64_t *pre_dig = snap.hasDigest ? &snap.digest : nullptr;
+    const mem::PageData *data = nullptr;
+    std::uint64_t digest = 0;
+    bool skip_stable_probe = false;
+    if (snap.kind == PageSnap::Kind::GenCalm) {
+        // A stable-tree probe that missed at ps.lastStableEpoch must
+        // still miss while the epoch is unchanged (stable frames only
+        // gain sharers without an epoch bump, and every staleness or
+        // capacity transition bumps it), so genCalmDigest() derives
+        // the skip.
+        ++c.genSkipped;
+        digest = genCalmDigest(ft, hfn, snap.gen, ps, data, pre_dig,
+                               c.digestCacheHits, skip_stable_probe);
+    } else if (!slowPathContent(ft, hfn, snap.gen, ps, data,
+                                snap.hasChecksum ? &snap.checksum
+                                                 : nullptr,
+                                pre_dig, c.digestCacheHits, digest)) {
+        // slowPathContent re-derives calm from the same ps and
+        // checksum the verdict was classified on.
+        jtps_assert(snap.kind == PageSnap::Kind::NotCalm);
+        ++c.notCalm;
+        // The calm protocol still owes this page a second visit;
+        // log-driven passes only revisit what they queue.
+        if (cfg_.usePml)
+            pmlRequeue(op.vm, op.gfn);
+        return false;
+    }
+    return treeStage(op, ft, ps, hfn, digest, data, skip_stable_probe, snap,
+                     lane, c);
+}
+
+void
+KsmScanner::visitNow(std::uint32_t idx, VmId vm, Gfn gfn, const hv::Vm &v,
+                     const mem::FrameTable &ft, PageScanState *psv,
+                     const BatchPre *pre, const PageSnap *snap)
+{
+    // Classified on live state right before its commit, the verdict is
+    // always current: no proof token, no replay.
+    PageSnap live;
+    if (snap == nullptr) {
+        classifyOne(gfn, v, ft, psv, live, pre, /*probe=*/false);
+        snap = &live;
+    }
+    ShardOp op;
+    op.idx = idx;
+    op.vm = vm;
+    op.gfn = gfn;
+    if (commitOne(op, v, ft, psv[gfn], *snap, /*lane=*/0, serial_counters_))
+        applyShardOp(op);
+}
+
+void
+KsmScanner::foldCounters(ShardCounters &c)
+{
+    stat_stale_stable_ += c.staleStable;
+    stat_stale_unstable_ += c.staleUnstable;
+    stat_gen_skipped_ += c.genSkipped;
+    stat_digest_cache_hits_ += c.digestCacheHits;
+    stat_commit_replays_ += c.commitReplays;
+    stat_skipped_huge_ += c.skippedHuge;
+    stat_not_calm_ += c.notCalm;
+    c = ShardCounters{};
+}
+
 void
 KsmScanner::classifyRange(const mem::FrameTable &ft, std::size_t begin,
                           std::size_t end)
 {
-    // Software-pipelined like the serial visitor: stage a window of
+    // Software-pipelined like the S = 1 visitor: stage a window of
     // items through the lane-parallel kernels, then classify each on
-    // the precomputed values. Windows restart at the span's start, so
-    // for a fixed scanShardPages the window shapes — hence the batch
-    // counters — do not depend on scheduling. The stage is local:
-    // workers run concurrently and snaps_ rows don't overlap.
+    // the precomputed values. Windows restart at the span's start, and
+    // the spans depend only on the batch size and S, so the window
+    // shapes — hence the batch counters — do not depend on scheduling.
+    // The stage is local: workers run concurrently and snaps_ rows
+    // don't overlap.
     VmId last_vm = invalidVm;
     const hv::Vm *v = nullptr;
     const PageScanState *psv = nullptr;
@@ -1195,7 +1089,7 @@ KsmScanner::classifyRange(const mem::FrameTable &ft, std::size_t begin,
         for (std::size_t j = i; j < wend; ++j) {
             const std::size_t k = j - i;
             classifyOne(work_[j].gfn, *ks.vms[k], ft, ks.rows[k],
-                        snaps_[j], &ks.pre[k]);
+                        snaps_[j], &ks.pre[k], /*probe=*/true);
         }
         i = wend;
     }
@@ -1208,87 +1102,32 @@ KsmScanner::classifyRange(const mem::FrameTable &ft, std::size_t begin,
 }
 
 void
-KsmScanner::commitResidual(VmId vm, Gfn gfn, const hv::Vm &v,
-                           mem::FrameTable &ft, PageScanState *psv,
-                           const PageSnap &snap, bool replay)
-{
-    // The reduce's non-candidate items: verdicts that stop before the
-    // merge trees (candidates commit in their digest shard), replayed
-    // with exactly the serial visit's mutations (compare scanOne()).
-    if (snap.kind == PageSnap::Kind::Huge) {
-        // hugePages flags are frozen for the batch: always valid.
-        ++stat_skipped_huge_;
-        return;
-    }
-    if (replay) {
-        // The frame moved since classify — an earlier promotion made
-        // it stable (the only mid-batch generation source). Nothing
-        // recorded in the snap is provable any more: run the full
-        // serial visit.
-        ++stat_commit_replays_;
-        scanOne(vm, gfn, v, ft, psv);
-        return;
-    }
-
-    PageScanState &ps = psv[gfn];
-    switch (snap.kind) {
-    case PageSnap::Kind::GenStable:
-        ++stat_gen_skipped_;
-        return;
-    case PageSnap::Kind::SlowStable:
-        if (cfg_.incrementalScan) {
-            ps.lastGen = snap.gen;
-            ps.lastStable = true;
-            ps.digestValid = false;
-            ps.lastStableEpoch = 0;
-        }
-        return;
-    case PageSnap::Kind::NotCalm: {
-        // slowPathContent re-derives calm from the frozen ps; classify
-        // computed the same checksum against the same state.
-        const Hfn hfn = v.ept.entry(gfn).backing;
-        const mem::PageData *data = &ft.frame(hfn).data;
-        std::uint64_t digest = 0;
-        const bool calm = slowPathContent(
-            ft, hfn, snap.gen, ps, data,
-            snap.hasChecksum ? &snap.checksum : nullptr, nullptr,
-            stat_digest_cache_hits_, digest);
-        jtps_assert(!calm);
-        ++stat_not_calm_;
-        return;
-    }
-    case PageSnap::Kind::Huge:
-    case PageSnap::Kind::GenCalm:
-    case PageSnap::Kind::SlowCalm:
-        break;
-    }
-    panic("merge candidate in the residual stream");
-}
-
-void
 KsmScanner::classifyAndCommit()
 {
     if (work_.empty())
         return;
-    mem::FrameTable &ft = hv_.frames();
+    const mem::FrameTable &ft = hv_.frames();
 
-    // ---- Classify: fan fixed-size spans out to the pool. Workers
-    // only read (frozen frame table, EPTs, per-page state) and only
-    // write their own snaps_ range; determinism needs no ordering
-    // here because the commit ignores completion order entirely.
+    // ---- Classify: fan spans out to the pool — S of them, more for
+    // batches over S * kMaxClassifySpan — sized from the batch length
+    // and S only, never from scheduling. Workers only read (frozen
+    // frame table, EPTs, per-page state) and only write their own
+    // snaps_ range; determinism needs no ordering here because the
+    // commit ignores completion order entirely.
     const double t_classify = phase_timing_ ? phaseNowMs() : 0.0;
     snaps_.assign(work_.size(), PageSnap{});
     if (!pool_)
         pool_ = std::make_unique<ThreadPool>(
             static_cast<unsigned>(shards_.size()));
-    const std::size_t span = std::max<std::size_t>(1, cfg_.scanShardPages);
-    const mem::FrameTable &cft = ft;
+    const std::size_t span =
+        std::min(kMaxClassifySpan,
+                 (work_.size() + shards_.size() - 1) / shards_.size());
     std::uint64_t spans = 0;
     for (std::size_t begin = 0; begin < work_.size(); begin += span) {
         const std::size_t end = std::min(work_.size(), begin + span);
         ++spans;
         pool_->submit(
-            [this, &cft, begin, end] { classifyRange(cft, begin, end); });
+            [this, &ft, begin, end] { classifyRange(ft, begin, end); });
     }
     pool_->wait();
     stat_scan_shards_ += spans;
@@ -1309,7 +1148,7 @@ KsmScanner::classifyAndCommit()
 }
 
 void
-KsmScanner::commitSharded(mem::FrameTable &ft)
+KsmScanner::commitSharded(const mem::FrameTable &ft)
 {
     const unsigned S = static_cast<unsigned>(shards_.size());
     const double t_partition = phase_timing_ ? phaseNowMs() : 0.0;
@@ -1407,7 +1246,7 @@ KsmScanner::commitSharded(mem::FrameTable &ft)
             (oi < merged_ops_.size() &&
              merged_ops_[oi].idx < residual_[ri]);
         if (take_op) {
-            applyShardOp(merged_ops_[oi++], ft);
+            applyShardOp(merged_ops_[oi++]);
             continue;
         }
         const std::uint32_t i = residual_[ri++];
@@ -1417,37 +1256,33 @@ KsmScanner::commitSharded(mem::FrameTable &ft)
             psv = page_state_[w.vm].data();
             last_vm = w.vm;
         }
-        const PageSnap &snap = snaps_[i];
         // A serial visit sees the live write generation at this item's
         // turn. Here every shard promotion has already landed, so
         // decide from the applied-op record instead: only a promotion
         // with a smaller work index (already applied, hence in
-        // bumped_) would have been visible serially.
-        const bool replay =
-            snap.kind != PageSnap::Kind::Huge &&
-            bumped_.count(v->ept.entry(w.gfn).backing) != 0;
-        commitResidual(w.vm, w.gfn, *v, ft, psv, snap, replay);
+        // bumped_) would have been visible serially. Such a frame moved
+        // since classify (it is stable now): classify it again on live
+        // state.
+        const bool replay = bumped_.count(v->ept.entry(w.gfn).backing) != 0;
+        if (replay)
+            ++serial_counters_.commitReplays;
+        visitNow(i, w.vm, w.gfn, *v, ft, psv, nullptr,
+                 replay ? nullptr : &snaps_[i]);
     }
 
-    // ---- Fold the shard counters into the live stats, in shard
-    // order (the totals are sums, so they match the S = 1 visitor).
-    for (const ShardWork &sw : shard_work_) {
-        stat_stale_stable_ += sw.counters.staleStable;
-        stat_stale_unstable_ += sw.counters.staleUnstable;
-        stat_gen_skipped_ += sw.counters.genSkipped;
-        stat_digest_cache_hits_ += sw.counters.digestCacheHits;
-        stat_commit_replays_ += sw.counters.commitReplays;
-    }
+    // ---- Fold the counters into the live stats (sums, so the totals
+    // match the S = 1 visitor).
+    foldCounters(serial_counters_);
+    for (ShardWork &sw : shard_work_)
+        foldCounters(sw.counters);
     if (phase_timing_)
         phase_ms_.reduce += phaseNowMs() - t_reduce;
 }
 
 void
-KsmScanner::shardCommitItems(mem::FrameTable &ft, unsigned s)
+KsmScanner::shardCommitItems(const mem::FrameTable &ft, unsigned s)
 {
-    ShardState &sh = shards_[s];
     ShardWork &sw = shard_work_[s];
-    const unsigned lane = s + 1; // write-generation lane (0 = serial)
     VmId last_vm = invalidVm;
     const hv::Vm *v = nullptr;
     PageScanState *psv = nullptr;
@@ -1458,97 +1293,69 @@ KsmScanner::shardCommitItems(mem::FrameTable &ft, unsigned s)
             psv = page_state_[w.vm].data();
             last_vm = w.vm;
         }
-        const PageSnap &snap = snaps_[idx];
-        const Hfn hfn = v->ept.entry(w.gfn).backing;
-        PageScanState &ps = psv[w.gfn];
-        if (ft.writeGen(hfn) != snap.gen) {
+        const PageSnap *snap = &snaps_[idx];
+        PageSnap live;
+        if (ft.writeGen(v->ept.entry(w.gfn).backing) != snap->gen) {
             // The only mid-batch generation source a shard can see is
             // one of its own earlier promotions (equal content means
             // equal digest means same shard), which left the frame
-            // stable — so the serial replay's scanOne() reduces to
-            // its stable fast path, reproduced inline.
+            // stable: classify the page again on live state.
             ++sw.counters.commitReplays;
-            jtps_assert(ft.frame(hfn).ksmStable);
-            if (cfg_.incrementalScan) {
-                ps.lastGen = ft.writeGen(hfn);
-                ps.lastStable = true;
-                ps.digestValid = false;
-                ps.lastStableEpoch = 0;
-            }
-            continue;
+            classifyOne(w.gfn, *v, ft, psv, live, nullptr, false);
+            snap = &live;
         }
-
-        const std::uint64_t gen = snap.gen;
-        const mem::PageData *data = nullptr;
-        std::uint64_t digest = 0;
-        bool skip_stable_probe = false;
-        if (snap.kind == PageSnap::Kind::GenCalm) {
-            ++sw.counters.genSkipped;
-            digest = genCalmDigest(ft, hfn, gen, ps, data,
-                                   snap.hasDigest ? &snap.digest : nullptr,
-                                   sw.counters.digestCacheHits,
-                                   skip_stable_probe);
-        } else { // SlowCalm — classify proved calm on the frozen ps.
-            data = &ft.frame(hfn).data;
-            const bool calm = slowPathContent(
-                ft, hfn, gen, ps, data,
-                snap.hasChecksum ? &snap.checksum : nullptr,
-                snap.hasDigest ? &snap.digest : nullptr,
-                sw.counters.digestCacheHits, digest);
-            jtps_assert(calm);
-        }
-
-        shardTreeStage(sh, sw, lane, idx, w.vm, w.gfn, ft, ps, hfn,
-                       digest, data, skip_stable_probe, &snaps_[idx]);
+        ShardOp op;
+        op.idx = idx;
+        op.vm = w.vm;
+        op.gfn = w.gfn;
+        if (commitOne(op, *v, ft, psv[w.gfn], *snap, s + 1, sw.counters))
+            sw.ops.push_back(op);
     }
 }
 
-void
-KsmScanner::shardTreeStage(ShardState &sh, ShardWork &sw, unsigned lane,
-                           std::uint32_t idx, VmId vm, Gfn gfn,
-                           mem::FrameTable &ft, PageScanState &ps,
-                           Hfn hfn, std::uint64_t digest,
-                           const mem::PageData *data,
-                           bool skip_stable_probe, const PageSnap *snap)
+bool
+KsmScanner::treeStage(ShardOp &op, const mem::FrameTable &ft,
+                      PageScanState &ps, Hfn hfn, std::uint64_t digest,
+                      const mem::PageData *data, bool skip_stable_probe,
+                      const PageSnap &snap, unsigned lane,
+                      ShardCounters &c)
 {
-    // Mirror of treeStage() against the shard's own slices, with every
-    // cross-shard effect executed through the frame table's deferred
-    // protocol and logged for the reduce. usePml never reaches here
-    // (sharding collapses to 1), so its branches are omitted.
+    // Everything a candidate can interact with — tree chains, unstable
+    // entries, merge targets, promotion sources — holds its content,
+    // hence its digest, so the digest's shard slices are the whole
+    // world of this stage (at S = 1, the one slice).
+    ShardState &sh = shards_[shardFor(digest)];
+    const VmId vm = op.vm;
+    const Gfn gfn = op.gfn;
+
+    // Stable tree first.
     if (!skip_stable_probe) {
-        if (snap && snap->probeCleanMiss &&
-            snap->probeEpoch == ft.ksmStableEpoch(digest)) {
+        if (snap.probeCleanMiss &&
+            snap.probeEpoch == ft.ksmStableEpoch(digest)) {
             // The read-only classify probe walked the whole chain and
             // met neither a stale node nor an acceptable one, and the
             // stable epoch has not moved since: no node can have been
             // added, gone stale or regained capacity without a bump,
-            // so a real lookup would do nothing but miss. Record the
-            // miss exactly as the serial visit would.
-            ps.lastStableEpoch = ft.ksmStableEpoch(digest);
+            // so a real lookup would do nothing but miss.
         } else {
             if (!data)
                 data = &ft.frame(hfn).data;
             const Hfn stable =
-                stableLookup(sh, *data, digest, sw.counters.staleStable);
-            if (stable != invalidFrame) {
-                ShardOp op{};
-                op.idx = idx;
-                op.vm = vm;
-                op.gfn = gfn;
-                op.stable = stable;
-                if (hv_.ksmMergeIntoShard(stable, vm, gfn,
-                                          &op.freedSource,
-                                          &op.source)) {
-                    op.merged = true;
-                    sw.ops.push_back(op);
-                }
-                return;
-            }
-            ps.lastStableEpoch = ft.ksmStableEpoch(digest);
+                stableLookup(sh, *data, digest, c.staleStable);
+            if (stable != invalidFrame)
+                return hv_.ksmMergeIntoShard(stable, vm, gfn, op.fx);
         }
+        // Record the miss: while the stable epoch stays put, revisits
+        // of this unchanged page may skip the probe (and the pruning
+        // it would do — a missing probe already pruned its bucket
+        // clean).
+        ps.lastStableEpoch = ft.ksmStableEpoch(digest);
     }
 
-    // Unstable slice: the same one-walk lookup/insert as treeStage().
+    // Unstable tree: find another calm page with the same content seen
+    // earlier in this pass. One walk serves both the lookup and, on a
+    // miss, the insert position (the first reusable stale/tombstone
+    // slot in the chain, or its empty terminator).
     const std::size_t mask = sh.unstable.size() - 1;
     std::size_t slot = npos;
     std::size_t insert_at = npos;
@@ -1558,7 +1365,7 @@ KsmScanner::shardTreeStage(ShardState &sh, ShardWork &sw, unsigned lane,
         if (u.epoch == 0) {
             if (insert_at == npos)
                 insert_at = i;
-            break;
+            break; // end of chain: not in this pass's tree
         }
         if (u.epoch == pass_epoch_) {
             if (u.digest == digest) {
@@ -1566,52 +1373,84 @@ KsmScanner::shardTreeStage(ShardState &sh, ShardWork &sw, unsigned lane,
                 break;
             }
         } else if (insert_at == npos) {
-            insert_at = i;
+            insert_at = i; // stale/tombstone slot: reusable
         }
     }
 
     if (slot != npos) {
         UnstableSlot &u = sh.unstable[slot];
         if (u.vm == vm && u.gfn == gfn)
-            return; // same page revisited
+            return false; // same page revisited
         if (!data)
             data = &ft.frame(hfn).data;
         const mem::PageData *other = hv_.peek(u.vm, u.gfn);
-        const bool entry_stale = other == nullptr || !(*other == *data);
+        bool entry_stale = other == nullptr || !(*other == *data);
+        if (!entry_stale && cfg_.usePml) {
+            // A persistent entry can outlive its page's promotion into
+            // the stable tree (a walk pass cannot: stable pages never
+            // insert). If the chain is full its content can even still
+            // match ours; promoting a stable page again would be
+            // wrong, so the entry is stale — exactly as the walk,
+            // whose table never contained the page this pass. Likewise
+            // a page that became THP-backed since insertion: the walk
+            // skips huge pages before the tree stage.
+            const hv::Vm &uv = hv_.vm(u.vm);
+            entry_stale = ft.frame(uv.ept.entry(u.gfn).backing).ksmStable ||
+                          (!uv.hugePages.empty() && uv.hugePages[u.gfn]);
+        }
         if (entry_stale) {
+            // The tree node went stale (page rewritten or swapped out)
+            // — or, vanishingly rarely, its digest collides with ours;
+            // either way, replace it with the current candidate.
             u.vm = vm;
             u.gfn = gfn;
-            ++sw.counters.staleUnstable;
-            return;
+            ++c.staleUnstable;
+            return false;
         }
-        ShardOp op{};
-        op.idx = idx;
-        op.vm = vm;
-        op.gfn = gfn;
+        // A valid persistent entry *later* in cursor order (PML only):
+        // the walk's fresh table could not have contained it at this
+        // visit — the walk would have inserted the candidate here, and
+        // the entry's page would have met it at its own, later visit.
+        // Reproduce that exactly: the candidate takes over the slot,
+        // and the entry's old page is scheduled for a visit at its
+        // canonical position this pass (where its probe finds the
+        // candidate and promotes it — same merge, same frame-
+        // allocation order, same trace position as the walk). Only
+        // pages with a live cross-pass match pay this revisit, so
+        // passes stay O(dirty + matches).
+        if (cfg_.usePml &&
+            (vm < u.vm || (vm == u.vm && gfn < u.gfn))) {
+            pmlScheduleThisPass(u.vm, u.gfn);
+            u.vm = vm;
+            u.gfn = gfn;
+            return false;
+        }
+        // The table entry — visited earlier in the pass — becomes the
+        // stable frame; the candidate merges into it.
         op.promotion = true;
-        const Hfn fresh = hv_.ksmMakeStableShard(u.vm, u.gfn, digest,
-                                                 lane, &op.transitioned,
-                                                 &op.refcountAtSet);
+        const Hfn fresh =
+            hv_.ksmMakeStableShard(u.vm, u.gfn, digest, lane, op.fx);
         jtps_assert(fresh != invalidFrame);
-        op.stable = fresh;
         sh.stableTree[digest].push_back(fresh);
-        u.epoch = tombstoneEpoch;
+        u.epoch = tombstoneEpoch; // erase, keeping probe chains intact
         --sh.live;
-        if (hv_.ksmMergeIntoShard(fresh, vm, gfn, &op.freedSource,
-                                  &op.source))
-            op.merged = true;
-        if (op.transitioned || op.merged)
-            sw.ops.push_back(op);
-        return;
+        hv_.ksmMergeIntoShard(fresh, vm, gfn, op.fx);
+        return op.fx.transitioned || op.fx.merged;
     }
 
-    // Miss: insert, with the slice-local growth policy.
+    // Miss: insert. Keep at least ~30% never-used slots so probe
+    // chains terminate quickly; the check runs only when this insert
+    // would consume an empty slot, so a steady-state pass over
+    // unchanged memory re-inserts into the previous pass's (now stale)
+    // slots without ever allocating or rehashing.
     if (sh.unstable[insert_at].epoch == 0) {
         if ((sh.occupied + 1) * 10 >= sh.unstable.size() * 7) {
             std::size_t cap = sh.unstable.size();
             while (cap < 4 * (sh.live + 1))
                 cap *= 2;
             unstableRehash(sh, cap);
+            // Re-derive the insert position in the rehashed table
+            // (all remaining slots are live entries of this pass).
             const std::size_t m2 = sh.unstable.size() - 1;
             insert_at = unstableSlotHash(digest) & m2;
             while (sh.unstable[insert_at].epoch != 0)
@@ -1621,32 +1460,30 @@ KsmScanner::shardTreeStage(ShardState &sh, ShardWork &sw, unsigned lane,
     }
     sh.unstable[insert_at] = UnstableSlot{digest, pass_epoch_, vm, gfn};
     ++sh.live;
+    return false;
 }
 
 void
-KsmScanner::applyShardOp(const ShardOp &op, mem::FrameTable &ft)
+KsmScanner::applyShardOp(const ShardOp &op)
 {
-    // Effects land in the S = 1 visitor's exact order for this item:
-    // the promotion's bookkeeping first (setKsmStable's counters),
-    // then the merge's unmap/map/touch/stat/trace sequence.
-    if (op.promotion && op.transitioned) {
-        ft.commitStablePromote(op.stable, op.refcountAtSet);
-        bumped_.insert(op.stable);
-    }
-    if (!op.merged)
+    // Effects land in the S = 1 order for this item: the hypervisor's
+    // frame-table half (promotion counters, then the merge's free,
+    // sharing add, touch and stat), then the scanner's counters and
+    // trace record.
+    hv_.ksmFinishShard(op.fx);
+    // The reduce's residual replay decision needs the frames applied
+    // promotions moved; the serial back-end never replays.
+    if (op.fx.transitioned && shards_.size() > 1)
+        bumped_.insert(op.fx.stable);
+    if (!op.fx.merged)
         return;
-    if (op.freedSource)
-        ft.finishDeferredFree(op.source);
-    ft.commitSharingAdd(op.stable);
-    ft.touch(op.stable);
-    ++stat_hv_ksm_merges_;
     ++merges_this_pass_;
     ++merges_total_;
     ++(op.promotion ? stat_unstable_promotions_ : stat_stable_merges_);
     if (TraceBuffer *t = hv_.trace())
         t->record(op.promotion ? TraceEventType::KsmUnstablePromotion
                                : TraceEventType::KsmStableMerge,
-                  op.vm, op.gfn, op.stable);
+                  op.vm, op.gfn, op.fx.stable);
 }
 
 KsmScanner::PmlVmQueue &

@@ -52,18 +52,28 @@
  * the PML dirty queues and injected lane (usePml), with a per-VM walk
  * fallback after a ring overflow — and applies the budget rules: only
  * resident pages count, injected revisits are exempt, and a pass
- * boundary ends the batch. The visits then run on one of two
- * back-ends over that work list:
+ * boundary ends the batch.
+ *
+ * One decision tree: a visit is classifyOne() — a read-only verdict
+ * (huge, settled, calm, candidate) plus the content values it needed
+ * — followed by commitOne(), which applies the verdict to the
+ * per-page state and runs merge candidates through the one
+ * treeStage(). The tree stage merges and promotes through the
+ * hypervisor's shard-safe primitives and yields a ShardOp, whose
+ * deferred frame-table half Hypervisor::ksmFinishShard() retires. The
+ * back-ends differ only in when each step runs:
  *
  *  - S = 1 (KsmConfig::commitShards, the default): a software-
- *    pipelined serial visitor, fed in cache-sized chunks of collected
- *    work. It gathers 16-page windows, computes their checksums and
- *    digests with the lane-parallel batch kernels
- *    (mem::checksumBatch/digestBatch, bit-identical per page to the
- *    scalar members) and applies the per-page visit on the
- *    precomputed values; settled revisits bypass the window. The
- *    from-scratch reference mode visits page by page instead.
- *  - S >= 2: classify, sharded commit and reduce, below.
+ *    pipelined visitor, fed in cache-sized chunks of collected work.
+ *    It gathers 16-page windows, computes their checksums and digests
+ *    with the lane-parallel batch kernels (mem::checksumBatch/
+ *    digestBatch, bit-identical per page to the scalar members), then
+ *    classifies and commits each item at once on the precomputed
+ *    values, applying its op on the spot; settled revisits bypass the
+ *    window. The from-scratch reference mode visits page by page with
+ *    no staging.
+ *  - S >= 2: classify over the whole batch, sharded commit and
+ *    reduce, below.
  *
  * Sharded commit (docs/ARCHITECTURE.md, docs/PERF.md §9): with
  * KsmConfig::commitShards = S >= 2 a batch first runs *classify* on a
@@ -137,13 +147,6 @@ struct KsmConfig
      * used by the equivalence tests and the before/after micro bench.
      */
     bool incrementalScan = true;
-    /**
-     * Pages per classify span on the sharded path (commitShards >= 2).
-     * Fixed, so the span boundaries — and with them `ksm.scan_shards`
-     * and the classify windows — do not depend on scheduling. Tests
-     * shrink it to force multi-span batches on tiny memories.
-     */
-    std::uint32_t scanShardPages = 4096;
     /**
      * Drive passes from the hypervisor's PML rings instead of walking
      * every resident page: each batch drains the rings into per-VM
@@ -331,28 +334,24 @@ class KsmScanner : public hv::PageEventListener
     };
 
     /**
-     * One deferred cross-shard effect recorded by a shard commit: a
-     * merge into a stable frame and/or a stable promotion. The serial
-     * reduce replays these in global work-index order, so sharing
-     * counters, the frame free list, LRU touches, hv stats and trace
-     * records land exactly as the S = 1 visitor would have placed them.
+     * One tree effect of a visit: a merge into a stable frame and/or a
+     * stable promotion. applyShardOp() retires it — at once on the
+     * serial paths, in global work-index order at the reduce for the
+     * shard jobs — so sharing counters, the frame free list, LRU
+     * touches, hv stats and trace records land in the S = 1 order.
      */
     struct ShardOp
     {
-        std::uint32_t idx;          //!< global work index (canonical order)
-        VmId vm;                    //!< candidate page (trace payload)
-        Gfn gfn;
-        Hfn stable;                 //!< merge target (tree hit or fresh)
-        Hfn source;                 //!< pre-merge backing of the candidate
-        std::uint32_t refcountAtSet; //!< target refcount when promoted
-        bool promotion;     //!< unstable promotion vs stable-tree merge
-        bool transitioned;  //!< the promotion actually set the flag
-        bool merged;        //!< the merge attempt succeeded
-        bool freedSource;   //!< merge unmapped the source's last mapping
+        std::uint32_t idx = 0; //!< global work index (canonical order)
+        VmId vm = invalidVm;   //!< candidate page (trace payload)
+        Gfn gfn = invalidFrame;
+        bool promotion = false; //!< unstable promotion vs stable merge
+        hv::KsmShardEffect fx;  //!< the frame-table half
     };
 
-    /** Counters a shard commit accumulates privately; folded into the
-     *  live stats in shard order at the reduce (sums are order-free). */
+    /** Visit counters accumulated privately (per shard job, and one
+     *  set for the serial paths) and folded into the live stats by
+     *  foldCounters() — sums, so the fold order does not matter. */
     struct ShardCounters
     {
         std::uint64_t staleStable = 0;
@@ -360,6 +359,8 @@ class KsmScanner : public hv::PageEventListener
         std::uint64_t genSkipped = 0;
         std::uint64_t digestCacheHits = 0;
         std::uint64_t commitReplays = 0;
+        std::uint64_t skippedHuge = 0;
+        std::uint64_t notCalm = 0;
     };
 
     /** Per-shard commit job: its candidate indexes (ascending), its op
@@ -372,11 +373,12 @@ class KsmScanner : public hv::PageEventListener
     };
 
     /**
-     * Classify-phase verdict for one work item, produced read-only by
-     * a classify worker and consumed by the sharded commit. `gen` is
-     * the proof token: commit uses the recorded values only while the
-     * frame's write generation still equals it, and falls back to a
-     * full serial visit otherwise.
+     * Classify verdict for one work item (classifyOne()), consumed by
+     * commitOne(). At S = 1 it is computed on live state right before
+     * its commit; on the sharded path a classify worker computes it
+     * against the frozen pre-batch state, and `gen` is the proof
+     * token: commit uses it only while the frame's write generation
+     * still equals it, and classifies the page again otherwise.
      */
     struct PageSnap
     {
@@ -429,6 +431,9 @@ class KsmScanner : public hv::PageEventListener
     static constexpr std::size_t kBatchPages = 16;
     /** Work items the S = 1 visitor collects per chunk. */
     static constexpr std::size_t kVisitChunk = 2048;
+    /** Largest classify span on the sharded path: big batches split
+     *  into more spans than workers, so the pool balances them. */
+    static constexpr std::size_t kMaxClassifySpan = 4096;
 
     /**
      * Structure-of-arrays staging for one content-kernel window
@@ -437,7 +442,7 @@ class KsmScanner : public hv::PageEventListener
      * tree read-only to find which kernels each visit will need, runs
      * the lane-parallel batch kernels over the needy pages, and leaves
      * the per-item results in `pre` for the apply loop to hand to
-     * scanOne()/classifyOne(). Accounting fields accumulate across
+     * classifyOne(). Accounting fields accumulate across
      * windows and are folded into the live counters by the owner (the
      * serial visitor directly, classify workers via the relaxed
      * atomics — sums, so order-free and deterministic).
@@ -494,8 +499,9 @@ class KsmScanner : public hv::PageEventListener
      * any kernel work), prefetch the frames, run the batch kernels,
      * and fill `ks.pre`. Read-only against scanner and host state.
      * @p consult_memo additionally skips kernel lanes the per-frame
-     * memo would serve anyway — valid only on the serial path (the
-     * memo is commit-side state; classifyOne() never reads it).
+     * memo would serve anyway — valid only on the S = 1 path, whose
+     * classifyOne() leaves the digest to commitOne() (which reads the
+     * memo first) and gets memo checksums copied into `pre`.
      */
     void stageWindow(const mem::FrameTable &ft, KernelStage &ks,
                      bool consult_memo) const;
@@ -517,16 +523,6 @@ class KsmScanner : public hv::PageEventListener
     void visitLookahead(std::size_t i, VmId vm, const hv::Vm &v,
                         const PageScanState *psv,
                         const mem::FrameTable &ft) const;
-
-    /**
-     * Visit one candidate page. @p v, @p ft and @p psv are hoisted by
-     * the caller (the VM, frame table, and this VM's page-state row)
-     * so the per-page path re-derives nothing. @p pre, when non-null,
-     * carries batch-kernel values for this visit (see BatchPre).
-     * @return true if the page was resident.
-     */
-    bool scanOne(VmId vm, Gfn gfn, const hv::Vm &v, mem::FrameTable &ft,
-                 PageScanState *psv, const BatchPre *pre = nullptr);
 
     /**
      * The collector: fill work_ with the batch's next resident
@@ -603,20 +599,42 @@ class KsmScanner : public hv::PageEventListener
     void classifyRange(const mem::FrameTable &ft, std::size_t begin,
                        std::size_t end);
 
-    /** Classify one work item into @p snap. @p pre, when non-null,
-     *  carries batch-kernel values for this item (see BatchPre). */
+    /**
+     * Classify one work item into @p snap — the read-only half of the
+     * decision tree. @p pre, when non-null, carries batch-kernel
+     * values for this item (see BatchPre). With @p probe (the sharded
+     * classify) it also computes every digest it needs and runs the
+     * read-only stable probe; without, a digest neither @p pre nor the
+     * per-page cache holds is left to commitOne(), which consults the
+     * frame memo first, and commit does the one real stable lookup.
+     */
     void classifyOne(Gfn gfn, const hv::Vm &v,
                      const mem::FrameTable &ft,
                      const PageScanState *psv, PageSnap &snap,
-                     const BatchPre *pre = nullptr) const;
+                     const BatchPre *pre, bool probe) const;
 
-    /** Replay one classified non-candidate page at the reduce,
-     *  mutating exactly as the serial visit would. @p replay: an
-     *  applied promotion moved the frame since classify, so run the
-     *  full serial visit instead. */
-    void commitResidual(VmId vm, Gfn gfn, const hv::Vm &v,
-                        mem::FrameTable &ft, PageScanState *psv,
-                        const PageSnap &snap, bool replay);
+    /**
+     * Commit one verdict: the per-page state and counters of the
+     * visit, and for merge candidates the tree stage. @p op arrives
+     * with its idx/vm/gfn filled; @p lane is the caller's write-
+     * generation lane and @p c its counter sink. @return true when
+     * @p op holds a tree effect for applyShardOp().
+     */
+    bool commitOne(ShardOp &op, const hv::Vm &v, const mem::FrameTable &ft,
+                   PageScanState &ps, const PageSnap &snap, unsigned lane,
+                   ShardCounters &c);
+
+    /**
+     * A serial visit (S = 1, the reference mode, the reduce): commit
+     * @p snap at once and apply its op. Without @p snap, classify the
+     * page on live state first (@p pre as in classifyOne()).
+     */
+    void visitNow(std::uint32_t idx, VmId vm, Gfn gfn, const hv::Vm &v,
+                  const mem::FrameTable &ft, PageScanState *psv,
+                  const BatchPre *pre, const PageSnap *snap = nullptr);
+
+    /** Add @p c to the live stats and reset it. */
+    void foldCounters(ShardCounters &c);
 
     /** Effective commit shard count: cfg_.commitShards, collapsed to 1
      *  under usePml or when <= 1. */
@@ -632,32 +650,28 @@ class KsmScanner : public hv::PageEventListener
     /** Sharded commit phase: partition the classified batch, run the
      *  S shard jobs on the pool, then reduce serially (see file
      *  comment). */
-    void commitSharded(mem::FrameTable &ft);
+    void commitSharded(const mem::FrameTable &ft);
 
-    /** One shard's commit job (pool thread): replay the shard's
+    /** One shard's commit job (pool thread): commit the shard's
      *  candidates in ascending work index against its own slices,
-     *  logging cross-shard effects into its ShardWork. */
-    void shardCommitItems(mem::FrameTable &ft, unsigned s);
+     *  logging their tree effects into its ShardWork. */
+    void shardCommitItems(const mem::FrameTable &ft, unsigned s);
 
-    /** treeStage(), shard flavour: same decisions against the shard's
-     *  slices, with merges/promotions executed through the deferred
-     *  FrameTable protocol and logged instead of counted/traced. */
-    void shardTreeStage(ShardState &sh, ShardWork &sw, unsigned lane,
-                        std::uint32_t idx, VmId vm, Gfn gfn,
-                        mem::FrameTable &ft, PageScanState &ps, Hfn hfn,
-                        std::uint64_t digest, const mem::PageData *data,
-                        bool skip_stable_probe, const PageSnap *snap);
-
-    /** Apply one shard op at the reduce (serial, in work-index order). */
-    void applyShardOp(const ShardOp &op, mem::FrameTable &ft);
+    /** Apply one tree effect (serial: at once, or in work-index order
+     *  at the reduce). */
+    void applyShardOp(const ShardOp &op);
 
     /**
-     * Stable-probe + unstable-table stage of a visit. @p data may be
-     * null (loaded lazily).
+     * Stable-probe + unstable-table stage of a merge candidate, against
+     * its digest's shard slices. @p data may be null (loaded lazily).
+     * Merges and promotions go through the hypervisor's shard-safe
+     * primitives, which record the deferred half in @p op.
+     * @return true when @p op holds a tree effect.
      */
-    void treeStage(VmId vm, Gfn gfn, mem::FrameTable &ft,
+    bool treeStage(ShardOp &op, const mem::FrameTable &ft,
                    PageScanState &ps, Hfn hfn, std::uint64_t digest,
-                   const mem::PageData *data, bool skip_stable_probe);
+                   const mem::PageData *data, bool skip_stable_probe,
+                   const PageSnap &snap, unsigned lane, ShardCounters &c);
 
     /** True iff a stableLookup of (@p data, @p digest) would miss
      *  without pruning anything. Read-only (worker-safe). */
@@ -667,8 +681,8 @@ class KsmScanner : public hv::PageEventListener
 
     /**
      * Digest of @p data via the per-frame memo — THE "use a
-     * precomputed value if present, else recompute" point, shared by
-     * the serial visit, the commit replay and the shard commits. On a
+     * precomputed value if present, else recompute" point of every
+     * commit. On a
      * memo hit the cached value is served and counted into
      * @p digest_hits (the live counter serially, a shard's private
      * accumulator from a shard commit); on a miss, @p pre — a
@@ -689,13 +703,12 @@ class KsmScanner : public hv::PageEventListener
                                  const std::uint32_t *pre);
 
     /**
-     * The generation-fast-path digest resolution shared by the serial
-     * visit (scanOne) and the shard commits: serve the per-page cache,
-     * else cachedDigest(), install the result into @p ps, and derive
-     * the epoch-proved stable-probe skip. The caller has already
-     * counted the gen skip.
+     * The generation-fast-path digest resolution of commitOne(): serve
+     * the per-page cache, else cachedDigest(), install the result into
+     * @p ps, and derive the epoch-proved stable-probe skip. The caller
+     * has already counted the gen skip.
      */
-    std::uint64_t genCalmDigest(mem::FrameTable &ft, Hfn hfn,
+    std::uint64_t genCalmDigest(const mem::FrameTable &ft, Hfn hfn,
                                 std::uint64_t gen, PageScanState &ps,
                                 const mem::PageData *&data,
                                 const std::uint64_t *pre,
@@ -703,15 +716,14 @@ class KsmScanner : public hv::PageEventListener
                                 bool &skip_stable_probe);
 
     /**
-     * The slow-path content stage shared by the serial visit, the
-     * shard commits and the residual replay (commitResidual()):
-     * resolve the checksum (cachedChecksum() under incrementalScan,
-     * direct otherwise), decide calmness against @p ps, update the
-     * per-page state exactly as the serial visit always has, and — for
-     * calm pages — resolve and install the digest. @return false when
-     * the page is not calm (the caller counts it and stops).
+     * The slow-path content stage of commitOne(): resolve the checksum
+     * (cachedChecksum() under incrementalScan, direct otherwise),
+     * decide calmness against @p ps, update the per-page state, and —
+     * for calm pages — resolve and install the digest. @return false
+     * when the page is not calm (the caller counts it and stops).
      */
-    bool slowPathContent(mem::FrameTable &ft, Hfn hfn, std::uint64_t gen,
+    bool slowPathContent(const mem::FrameTable &ft, Hfn hfn,
+                         std::uint64_t gen,
                          PageScanState &ps, const mem::PageData *&data,
                          const std::uint32_t *pre_sum,
                          const std::uint64_t *pre_dig,
@@ -725,8 +737,8 @@ class KsmScanner : public hv::PageEventListener
     /**
      * Look up @p data (whose digest is @p digest) in @p sh's stable
      * tree slice, pruning stale nodes and emptied digest buckets into
-     * @p stale_counter (the live stat serially, a shard accumulator
-     * from a shard commit). The staleness test compares content before
+     * @p stale_counter (the caller's ShardCounters). The staleness test
+     * compares content before
      * reading the stable flag: a stale node's recycled frame may be
      * mid-mutation in another shard, but its (frozen) content already
      * proves the prune, so the outcome never depends on the race.
@@ -764,6 +776,8 @@ class KsmScanner : public hv::PageEventListener
     /** Per-shard commit jobs and the residual (non-candidate) work
      *  indexes, reused across batches. */
     std::vector<ShardWork> shard_work_;
+    /** Counter sink of the serial visits (S = 1, reference, reduce). */
+    ShardCounters serial_counters_;
     std::vector<std::uint32_t> residual_;
     /** Reduce scratch: all shards' ops merged by work index. */
     std::vector<ShardOp> merged_ops_;
@@ -803,15 +817,15 @@ class KsmScanner : public hv::PageEventListener
      * Batch-kernel accounting from classify workers, folded into the
      * live counters after the pool barrier. Relaxed atomics: the folded
      * values are sums over all windows, so they are independent of
-     * worker interleaving (for a fixed scanShardPages, the windows
-     * themselves are fixed too).
+     * worker interleaving (the spans depend only on the batch size and
+     * S, so the windows themselves are fixed too).
      */
     std::atomic<std::uint64_t> batch_pages_acc_{0};
     std::atomic<std::uint64_t> batch_flush_acc_{0};
     std::atomic<std::uint64_t> kernel_ns_acc_{0};
 
-    // Cached counter handles: scanOne() runs per visited page, so the
-    // string-keyed StatSet lookups are hoisted out of the hot loop.
+    // Cached counter handles: the string-keyed StatSet lookups stay
+    // out of the per-batch folds.
     std::uint64_t &stat_stale_stable_;
     std::uint64_t &stat_stale_unstable_;
     std::uint64_t &stat_skipped_huge_;
@@ -828,9 +842,6 @@ class KsmScanner : public hv::PageEventListener
     std::uint64_t &stat_shard_imbalance_;
     std::uint64_t &stat_batch_kernel_pages_;
     std::uint64_t &stat_batch_flushes_;
-    /** hv's own merge counter, cached so the sharded reduce can apply
-     *  deferred merges without a per-merge string lookup. */
-    std::uint64_t &stat_hv_ksm_merges_;
 
     /**
      * Wall-clock phase accounting per pass, enabled by setting the

@@ -1022,3 +1022,55 @@ TEST_P(PmlOverflowFallbackFuzz, TinyRingsForceWalksAndStillMatch)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PmlOverflowFallbackFuzz,
                          ::testing::Values(6, 64, 256, 496, 8128));
+
+TEST(PmlCursorSettle, RevisitInjectedIntoTheDrainedVmWaitsForTheNextBatch)
+{
+    // A one-page budget stops the collector on the last entry of VM 1's
+    // dirty queue, and that very visit meets VM 1's persistent unstable
+    // entry ahead of the cursor. The revisit joins VM 1's injected
+    // lane, so the cursor must stay on VM 1 and the revisit wait for
+    // the next batch — the promotion then lands where the walk's pass
+    // puts it.
+    TwinStacks t(pmlHostCfg(2 * MiB, 4096), pmlHostCfg(2 * MiB, 0),
+                 pmlKsmCfg(1, 1), TwinStacks::ksmCfg(true, 1));
+    const PageData content = PageData::filled(7, 3);
+    const auto write = [&](Gfn gfn) {
+        t.inc_hv.writePage(1, gfn, content);
+        t.ref_hv.writePage(1, gfn, content);
+    };
+    const auto pass = [](KsmScanner &s) {
+        const std::uint64_t to = s.fullScans() + 1;
+        while (s.fullScans() < to)
+            s.scanBatch();
+    };
+    const auto both = [&] {
+        pass(t.inc_scanner);
+        pass(t.ref_scanner);
+    };
+
+    // (1, 10) turns calm over two passes and enters the persistent
+    // unstable table; the log-driven side never visits it again.
+    write(10);
+    both();
+    both();
+    // (1, 2) gets the same content; its first visit finds it not calm,
+    // so the log owes it a second visit next pass.
+    write(2);
+    both();
+    ASSERT_EQ(t.inc_stats.get("ksm.unstable_promotions"), 0u);
+
+    // That second visit is the whole budget and drains VM 1's queue.
+    const std::uint64_t scans = t.inc_scanner.fullScans();
+    ASSERT_EQ(t.inc_scanner.scanBatch(), 1u);
+    EXPECT_EQ(t.inc_scanner.fullScans(), scans);
+    EXPECT_EQ(t.inc_stats.get("ksm.unstable_promotions"), 0u);
+    // The next batch visits the injected (1, 10), which promotes
+    // (1, 2)'s frame, and ends the pass.
+    t.inc_scanner.scanBatch();
+    EXPECT_EQ(t.inc_scanner.fullScans(), scans + 1);
+    EXPECT_EQ(t.inc_stats.get("ksm.unstable_promotions"), 1u);
+
+    pass(t.ref_scanner);
+    ASSERT_NO_FATAL_FAILURE(expectPmlEqual(t, 0, 0));
+    ASSERT_NO_FATAL_FAILURE(t.expectRegistriesEqual(pmlModeCounters, 0));
+}

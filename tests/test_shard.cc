@@ -47,16 +47,15 @@ const std::vector<std::string> shardOnlyCounters = {
     "ksm.batch_flushes",
 };
 
-/** Scanner config committing through @p shards digest shards, with
- *  classify spans shrunk so even these tiny memories (3 VMs x 48
- *  pages) fan out across several spans. */
+/** Scanner config committing through @p shards digest shards (a batch
+ *  classifies in @p shards spans, so even these tiny memories — 3 VMs
+ *  x 48 pages — fan out across several spans). */
 KsmConfig
 shardKsmCfg(unsigned shards)
 {
     KsmConfig c;
     c.pagesToScan = 500;
     c.incrementalScan = true;
-    c.scanShardPages = 16;
     c.commitShards = shards;
     return c;
 }
