@@ -96,6 +96,53 @@ class StatSet
     std::string scope_;
 };
 
+/**
+ * A counter handle resolved on first use, for per-page paths that
+ * cannot afford a string-keyed lookup per event but must not register
+ * their counter before it fires: the first inc()/set() creates the
+ * counter (exactly as StatSet::inc()/set() would) and caches its
+ * address; every later call is one add or store. A null sink makes
+ * every call a no-op. Like StatSet::counter(), the handle is
+ * invalidated by StatSet::clear().
+ */
+class LazyCounter
+{
+  public:
+    LazyCounter(StatSet *stats, const char *name)
+        : stats_(stats), name_(name)
+    {
+    }
+
+    /** Add @p delta, registering the counter on first use. */
+    void
+    inc(std::uint64_t delta = 1)
+    {
+        if (std::uint64_t *c = slot())
+            *c += delta;
+    }
+
+    /** Store @p value, registering the counter on first use. */
+    void
+    set(std::uint64_t value)
+    {
+        if (std::uint64_t *c = slot())
+            *c = value;
+    }
+
+  private:
+    std::uint64_t *
+    slot()
+    {
+        if (!slot_ && stats_)
+            slot_ = &stats_->counter(name_);
+        return slot_;
+    }
+
+    StatSet *stats_;
+    const char *name_;
+    std::uint64_t *slot_ = nullptr;
+};
+
 } // namespace jtps
 
 #endif // JTPS_BASE_STATS_HH

@@ -490,9 +490,14 @@ GuestOs::touchFileSpace(std::uint32_t pages)
         if (file.pages() == 0)
             continue;
         const std::uint64_t index = rng_.nextBelow(file.pages());
-        auto fit = cache_index_.find(tag);
-        if (fit != cache_index_.end() && fit->second.count(index)) {
-            hvTouchPage(fit->second.at(index));
+        Gfn cached = invalidFrame;
+        if (auto fit = cache_index_.find(tag); fit != cache_index_.end()) {
+            auto pit = fit->second.find(index);
+            if (pit != fit->second.end())
+                cached = pit->second;
+        }
+        if (cached != invalidFrame) {
+            hvTouchPage(cached);
         } else {
             // Cache miss: a real disk read fills the cache.
             pageCacheGet(file, index);

@@ -29,7 +29,12 @@ Hypervisor::Hypervisor(const HostConfig &cfg, StatSet &stats)
       pml_ring_slots_(cfg.pmlRingSlots),
       stat_pml_appends_(stats.counter("hv.pml_appends")),
       stat_pml_overflows_(stats.counter("hv.pml_overflows")),
-      stat_ksm_merges_(stats.counter("hv.ksm_merges"))
+      stat_ksm_merges_(stats.counter("hv.ksm_merges")),
+      stat_demand_allocs_(&stats, "hv.demand_allocs"),
+      stat_evictions_(&stats, "host.evictions"),
+      stat_major_faults_(&stats, "host.major_faults"),
+      stat_major_faults_ram_(&stats, "host.major_faults_ram"),
+      stat_cow_breaks_(&stats, "hv.cow_breaks")
 {
     // Registered at zero so every registry carries the counters whether
     // or not a run ever retires a VM (docs/METRICS.md contract).
@@ -148,7 +153,7 @@ Hypervisor::evictOne()
         ++v.swappedPages;
         frames_.removeMapping(victim, m);
     }
-    stats_.inc("host.evictions");
+    stat_evictions_.inc();
     return true;
 }
 
@@ -227,10 +232,10 @@ Hypervisor::swapIn(VmId vm_id, Gfn gfn)
     }
 
     ++faulting.majorFaults;
-    stats_.inc("host.major_faults");
+    stat_major_faults_.inc();
     if (from_ram) {
         ++faulting.majorFaultsRam;
-        stats_.inc("host.major_faults_ram");
+        stat_major_faults_ram_.inc();
     }
 }
 
@@ -257,7 +262,7 @@ Hypervisor::cowBreak(VmId vm_id, Gfn gfn)
     Hfn fresh = allocBacked(m, copy);
     e.backing = fresh;
     e.writeProtected = false;
-    stats_.inc("hv.cow_breaks");
+    stat_cow_breaks_.inc();
     if (trace_)
         trace_->record(TraceEventType::CowBreak, vm_id, gfn, old);
 }
@@ -276,7 +281,7 @@ Hypervisor::pageForWrite(VmId vm_id, Gfn gfn)
           e.backing = hfn;
           e.writeProtected = false;
           ++v.residentPages;
-          stats_.inc("hv.demand_allocs");
+          stat_demand_allocs_.inc();
           break;
       }
       case PageState::Swapped:

@@ -423,6 +423,13 @@ class Hypervisor
     std::uint64_t &stat_pml_appends_;
     std::uint64_t &stat_pml_overflows_;
     std::uint64_t &stat_ksm_merges_;
+    // The fault/eviction funnel's counters fire per page but must stay
+    // out of the registry until they first fire: resolved on first use.
+    LazyCounter stat_demand_allocs_;
+    LazyCounter stat_evictions_;
+    LazyCounter stat_major_faults_;
+    LazyCounter stat_major_faults_ram_;
+    LazyCounter stat_cow_breaks_;
 };
 
 /**

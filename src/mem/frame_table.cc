@@ -12,12 +12,19 @@ FrameTable::FrameTable(std::uint64_t capacity_frames, StatSet *stats)
 {
     jtps_assert(capacity_frames > 0);
     ksm_stable_epochs_.fill(1);
+    // Host RAM is fixed, so the per-frame arrays are reserved once and
+    // never reallocate (a regrowth copies every Frame with its inline
+    // reverse map, and briefly holds both copies). The reservation is
+    // address space, not memory: pages past the high-water mark are
+    // never written, so they stay non-resident.
+    frames_.reserve(capacity_frames);
+    write_gens_.reserve(capacity_frames);
+    victim_keys_.reserve(capacity_frames);
+    allocated_.reserve((capacity_frames + 63) / 64);
     // Register at zero so the counters appear in every registry even if
     // the sampled-LRU fast path never misses.
-    if (stats_) {
-        stats_->counter("host.victim_fallback_sweeps");
-        stats_->counter("host.shard_clock_sweeps");
-    }
+    stat_fallback_sweeps_.inc(0);
+    stat_shard_clock_sweeps_.inc(0);
 }
 
 Hfn
@@ -36,6 +43,7 @@ FrameTable::allocRaw(const PageData &initial)
         if ((hfn >> 6) >= allocated_.size())
             allocated_.push_back(0);
         write_gens_.push_back(0);
+        victim_keys_.push_back(0);
     }
 
     Frame &f = frames_[hfn];
@@ -46,17 +54,16 @@ FrameTable::allocRaw(const PageData &initial)
     write_gens_[hfn] = nextGen(0);
     f.refcount = 0;
     f.ksmStable = false;
-    f.referenced = true;
-    f.lastTouch = ++access_clock_;
     f.pinned = false;
+    // Freshly touched, neither pinned nor shared.
+    victim_keys_[hfn] = ++access_clock_ << kKeyTouchShift;
     f.ksmStripe = 0;
     f.primary = Mapping{};
     f.extra.clear();
     setAllocBit(hfn);
     ++resident_;
     ++resident_by_stripe_[stripeOfFrame(hfn)];
-    if (stats_)
-        stats_->inc("host.frames_allocated");
+    stat_frames_allocated_.inc();
     return hfn;
 }
 
@@ -78,8 +85,7 @@ FrameTable::freeRaw(Hfn hfn)
     free_list_.push_back(hfn);
     --resident_;
     --resident_by_stripe_[stripeOfFrame(hfn)];
-    if (stats_)
-        stats_->inc("host.frames_freed");
+    stat_frames_freed_.inc();
 }
 
 Hfn
@@ -103,6 +109,7 @@ FrameTable::allocPinned(const PageData &initial)
     Frame &f = frames_[hfn];
     f.pinned = true;
     f.refcount = 1; // the hypervisor itself holds the reference
+    victim_keys_[hfn] |= kKeyPinned;
     return hfn;
 }
 
@@ -115,12 +122,12 @@ FrameTable::addMapping(Hfn hfn, const Mapping &m)
     reserveExtra(f);
     f.extra.push_back(m);
     ++f.refcount;
+    setKeyShared(hfn, f.refcount);
     if (f.ksmStable) {
         ++ksm_sharing_mappings_;
         ++sharing_by_stripe_[stripeOfFrame(hfn)];
     }
-    if (stats_)
-        stats_->inc("host.mappings_added");
+    stat_mappings_added_.inc();
 }
 
 bool
@@ -145,6 +152,7 @@ FrameTable::removeMapping(Hfn hfn, const Mapping &m)
         f.primary = f.extra.back();
         f.extra.pop_back();
         --f.refcount;
+        setKeyShared(hfn, f.refcount);
         if (f.ksmStable) {
             --ksm_sharing_mappings_;
             --sharing_by_stripe_[stripeOfFrame(hfn)];
@@ -157,6 +165,7 @@ FrameTable::removeMapping(Hfn hfn, const Mapping &m)
     jtps_assert(it != f.extra.end());
     f.extra.erase(it);
     --f.refcount;
+    setKeyShared(hfn, f.refcount);
     if (f.ksmStable) {
         --ksm_sharing_mappings_;
         --sharing_by_stripe_[stripeOfFrame(hfn)];
@@ -212,6 +221,7 @@ FrameTable::addMappingShard(Hfn hfn, const Mapping &m)
     reserveExtra(f);
     f.extra.push_back(m);
     ++f.refcount;
+    setKeyShared(hfn, f.refcount);
     // Sharing counters and host.mappings_added deferred to
     // commitSharingAdd() at the serial reduce.
 }
@@ -239,6 +249,7 @@ FrameTable::removeMappingShard(Hfn hfn, const Mapping &m)
         f.primary = f.extra.back();
         f.extra.pop_back();
         --f.refcount;
+        setKeyShared(hfn, f.refcount);
         shrinkExtra(f);
         return false;
     }
@@ -247,6 +258,7 @@ FrameTable::removeMappingShard(Hfn hfn, const Mapping &m)
     jtps_assert(it != f.extra.end());
     f.extra.erase(it);
     --f.refcount;
+    setKeyShared(hfn, f.refcount);
     shrinkExtra(f);
     return false;
 }
@@ -271,8 +283,7 @@ FrameTable::commitSharingAdd(Hfn hfn)
     jtps_assert(frame(hfn).ksmStable);
     ++ksm_sharing_mappings_;
     ++sharing_by_stripe_[stripeOfFrame(hfn)];
-    if (stats_)
-        stats_->inc("host.mappings_added");
+    stat_mappings_added_.inc();
 }
 
 void
@@ -307,9 +318,10 @@ FrameTable::freePinned(Hfn hfn)
 void
 FrameTable::touch(Hfn hfn)
 {
-    Frame &f = frame(hfn);
-    f.referenced = true;
-    f.lastTouch = ++access_clock_;
+    jtps_assert(isAllocated(hfn));
+    std::uint64_t &key = victim_keys_[hfn];
+    key = (++access_clock_ << kKeyTouchShift) |
+          (key & (kKeyPinned | kKeyShared));
 }
 
 Hfn
@@ -319,21 +331,41 @@ FrameTable::pickVictim(bool allow_shared)
         return invalidFrame;
 
     // Sampled LRU: draw a handful of random frames, take the oldest
-    // eligible one. Approximates global LRU reclaim at O(1) cost.
-    constexpr int sample_size = 16;
+    // eligible one. Approximates global LRU reclaim at O(1) cost. The
+    // draws land on random lines of the key array, so all of them are
+    // prefetched before any is read: the sample costs about one
+    // overlapped miss instead of sixteen dependent ones. Once the table
+    // has grown to capacity — always so under reclaim, which only runs
+    // on a full host — the draw bound is fixed, so the next pick's
+    // sample is drawn now, in stream order, and its misses overlap the
+    // work between the two picks.
+    VictimSample sample;
+    if (next_sample_drawn_) {
+        sample = next_sample_;
+        next_sample_drawn_ = false;
+    } else {
+        drawVictimSample(sample);
+    }
+    if (frames_.size() == capacity_) {
+        drawVictimSample(next_sample_);
+        next_sample_drawn_ = true;
+    }
+    const std::uint64_t ineligible =
+        allow_shared ? kKeyPinned : kKeyPinned | kKeyShared;
     Hfn best = invalidFrame;
-    for (int i = 0; i < sample_size; ++i) {
-        const Hfn h = victim_rng_.nextBelow(frames_.size());
+    std::uint64_t best_touch = 0;
+    for (const Hfn h : sample) {
         if (!allocBit(h))
             continue;
-        const Frame &f = frames_[h];
-        if (f.pinned)
+        const std::uint64_t key = victim_keys_[h];
+        if (key & ineligible)
             continue;
-        if (f.refcount > 1 && !allow_shared)
-            continue;
-        if (best == invalidFrame ||
-            f.lastTouch < frames_[best].lastTouch) {
+        // Touch times are unique per frame, so strict < keeps the
+        // first draw of a frame sampled twice.
+        const std::uint64_t touch = key >> kKeyTouchShift;
+        if (best == invalidFrame || touch < best_touch) {
             best = h;
+            best_touch = touch;
         }
     }
     if (best != invalidFrame)
@@ -346,25 +378,18 @@ FrameTable::pickVictim(bool allow_shared)
     // its own hand over its own bit lane of the allocation bitmap, so
     // the state a sweep mutates stays per-stripe (no single hot hand on
     // a 256-VM host) while the visit order stays deterministic.
-    if (stats_)
-        stats_->inc("host.victim_fallback_sweeps");
+    stat_fallback_sweeps_.inc();
     for (unsigned i = 0; i < kStripes; ++i) {
         const unsigned s = (clock_stripe_cursor_ + i) % kStripes;
         const std::uint64_t count = stripeFrameCount(s);
         if (count == 0)
             continue;
-        if (stats_)
-            stats_->inc("host.shard_clock_sweeps");
+        stat_shard_clock_sweeps_.inc();
         const std::uint64_t pos = clock_hands_[s];
         for (std::uint64_t step = 0; step < count; ++step) {
             const std::uint64_t p = (pos + step) % count;
             const Hfn h = static_cast<Hfn>(s) + p * kStripes;
-            if (!allocBit(h))
-                continue;
-            const Frame &f = frames_[h];
-            if (f.pinned)
-                continue;
-            if (f.refcount > 1 && !allow_shared)
+            if (!allocBit(h) || (victim_keys_[h] & ineligible))
                 continue;
             clock_hands_[s] = (p + 1) % count;
             clock_stripe_cursor_ = s;
@@ -372,6 +397,26 @@ FrameTable::pickVictim(bool allow_shared)
         }
     }
     return invalidFrame;
+}
+
+void
+FrameTable::drawVictimSample(VictimSample &sample)
+{
+    for (Hfn &h : sample) {
+        h = victim_rng_.nextBelow(frames_.size());
+        __builtin_prefetch(victim_keys_.data() + h);
+    }
+}
+
+void
+FrameTable::checkVictimKey(Hfn hfn, const Frame &f) const
+{
+    // The key's flags are derived state: they must agree with the
+    // frame's own fields, or pickVictim() decides on stale facts.
+    const std::uint64_t key = victim_keys_[hfn];
+    jtps_assert(((key & kKeyPinned) != 0) == f.pinned);
+    jtps_assert(((key & kKeyShared) != 0) == (f.refcount > 1));
+    jtps_assert((key >> kKeyTouchShift) <= access_clock_);
 }
 
 void
@@ -391,6 +436,7 @@ FrameTable::checkConsistency() const
         } else {
             jtps_assert(f.refcount == 1 + f.extra.size());
         }
+        checkVictimKey(h, f);
         if (f.ksmStable) {
             ++stable_count;
             sharing_count += f.refcount - 1;
@@ -440,6 +486,7 @@ FrameTable::checkConsistencyShard(unsigned stripe) const
         } else {
             jtps_assert(f.refcount == 1 + f.extra.size());
         }
+        checkVictimKey(h, f);
         if (f.ksmStable) {
             ++stable_count;
             sharing_count += f.refcount - 1;

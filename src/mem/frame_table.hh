@@ -9,9 +9,13 @@
  * EPT entries pointing at the frame" can be enforced centrally — it is
  * what makes the paper's owner-oriented accounting well defined.
  *
- * Eviction uses a two-handed clock (referenced bits set by touch()) so
- * that the overcommit experiments (Figs. 7 and 8) scale to millions of
- * frames without O(n) victim scans.
+ * Eviction is a sampled LRU (pickVictim()) with a striped clock sweep
+ * as its fallback, so that the overcommit experiments (Figs. 7 and 8)
+ * scale to millions of frames without O(n) victim scans. Everything a
+ * victim decision reads — the frame's last touch and whether it is
+ * pinned or shared — lives in one dense word per frame (the victim
+ * key), so the sample touches an 8-byte slot of a ~12 MB array instead
+ * of a whole Frame of a ~190 MB table.
  *
  * Striping (256-VM hosts, docs/ARCHITECTURE.md): the table's derived
  * state is split into kStripes slices so the KSM commit phase can run
@@ -68,11 +72,9 @@ struct Mapping
 struct Frame
 {
     PageData data;
-    std::uint64_t lastTouch = 0; //!< logical access time (LRU age)
     std::uint32_t refcount = 0;
-    bool ksmStable = false;  //!< member of the KSM stable tree
-    bool referenced = false; //!< accessed bit (kept for introspection)
-    bool pinned = false;     //!< never evicted (hypervisor-private)
+    bool ksmStable = false; //!< member of the KSM stable tree
+    bool pinned = false;    //!< never evicted (hypervisor-private)
     /**
      * Digest stripe (content digest mod kStripes) recorded when the
      * frame joined the stable tree, so the transitions that must bump
@@ -114,7 +116,7 @@ struct Frame
 
 /**
  * The host frame table: allocation, refcounting, reverse mappings, and
- * clock-based victim selection.
+ * sampled-LRU victim selection.
  *
  * Concurrency: the table is single-writer for everything except the
  * KSM commit-shard entry points. The const read-side accessors —
@@ -124,11 +126,12 @@ struct Frame
  * and the forensics walk operate in. The *Shard mutators
  * (addMappingShard, removeMappingShard, setKsmStableShard) may run
  * concurrently from different commit shards because digest-sharding
- * guarantees their frame sets, epoch stripes and generation lanes are
- * disjoint; everything they cannot touch race-free (shared counters,
- * the free list, the access clock, stats) is deferred to the serial
- * commit* / finishDeferredFree() completions. There is no internal
- * synchronization; any overlap outside that protocol is a data race.
+ * guarantees their frame sets (victim keys included), epoch stripes and
+ * generation lanes are disjoint; everything they cannot touch race-free
+ * (shared counters, the free list, the access clock, stats) is deferred
+ * to the serial commit* / finishDeferredFree() completions. There is
+ * no internal synchronization; any overlap outside that protocol is a
+ * data race.
  */
 class FrameTable
 {
@@ -384,14 +387,16 @@ class FrameTable
         return hfn < frames_.size() && allocBit(hfn);
     }
 
-    /** Mark the frame recently used (clock second chance). */
+    /** Mark the frame most recently used: its victim key takes the
+     *  next tick of the access clock, making it the last LRU pick. */
     void touch(Hfn hfn);
 
     /**
      * Pick an eviction victim by sampled LRU: draw a fixed-size random
      * sample of frames and evict the least recently touched eligible
-     * one — a good approximation of the kernel's global LRU reclaim
-     * that treats every process's memory uniformly by recency. Pinned
+     * one (a frame drawn twice keeps its first draw) — a good
+     * approximation of the kernel's global LRU reclaim that treats
+     * every process's memory uniformly by recency. Pinned
      * frames are skipped; frames with refcount > 1 are only eligible
      * when @p allow_shared is set. Falls back to a striped clock sweep
      * when the sample finds nothing eligible: stripes are visited
@@ -399,7 +404,9 @@ class FrameTable
      * own hand over its own bit lane of the allocation bitmap
      * (`host.shard_clock_sweeps` counts per-stripe sweeps), so the
      * merged order is deterministic while the sweep state stays one
-     * hand per stripe instead of one global hot word.
+     * hand per stripe instead of one global hot word. Both the sample
+     * and the sweep read only the allocation bitmap and the victim
+     * keys, never a Frame.
      * @return a victim frame number, or invalidFrame if none exists.
      */
     Hfn pickVictim(bool allow_shared);
@@ -452,8 +459,32 @@ class FrameTable
     void checkConsistencyShard(unsigned stripe) const;
 
   private:
+    /** Victim-key flag bits; the access time sits above them. */
+    static constexpr std::uint64_t kKeyPinned = 1;
+    static constexpr std::uint64_t kKeyShared = 2;
+    static constexpr unsigned kKeyTouchShift = 2;
+
     Hfn allocRaw(const PageData &initial);
     void freeRaw(Hfn hfn);
+
+    /** Keep @p hfn's shared flag equal to refcount > 1; called after
+     *  every refcount change of a mapped frame. */
+    void
+    setKeyShared(Hfn hfn, std::uint32_t refcount)
+    {
+        std::uint64_t &key = victim_keys_[hfn];
+        key = (key & ~kKeyShared) | (refcount > 1 ? kKeyShared : 0);
+    }
+
+    /** One pickVictim() sample: frame numbers below frames_.size(). */
+    using VictimSample = std::array<Hfn, 16>;
+
+    /** Draw @p sample from victim_rng_ and prefetch its keys. */
+    void drawVictimSample(VictimSample &sample);
+
+    /** Victim-key check against the frame's own fields (consistency
+     *  checks only). */
+    void checkVictimKey(Hfn hfn, const Frame &f) const;
 
     /** Next generation from @p lane's clock (never 0: the counter
      *  starts above 0 and is shifted left of the lane id). */
@@ -531,6 +562,15 @@ class FrameTable
     std::vector<Frame> frames_;
     /** Per-frame write generations, parallel to frames_. */
     std::vector<std::uint64_t> write_gens_;
+    /**
+     * Per-frame victim keys, parallel to frames_: the last touch
+     * (logical access time) << kKeyTouchShift | shared (refcount > 1)
+     * << 1 | pinned. Written only where an input changes — allocation,
+     * touch() and every refcount change — so pickVictim() decides from
+     * this array and the allocation bitmap alone. Shard jobs write the
+     * keys of their own, disjoint frames, like write_gens_.
+     */
+    std::vector<std::uint64_t> victim_keys_;
     /** Allocation bitmap, 64 frames per word (bit i of word w covers
      *  hfn 64w + i, i.e. bit i is frame stripe i's lane) so
      *  forEachResident() can skip empty runs wordwise and per-stripe
@@ -543,7 +583,21 @@ class FrameTable
     unsigned clock_stripe_cursor_ = 0;
     std::uint64_t access_clock_ = 0; //!< logical time for LRU ages
     Rng victim_rng_{stringTag("frame-lru")};
+    /** The next pick's sample, drawn one pick ahead once frames_ has
+     *  reached capacity (see pickVictim()). */
+    VictimSample next_sample_{};
+    bool next_sample_drawn_ = false;
     StatSet *stats_;
+    // Per-page counters, resolved on first use (LazyCounter).
+    LazyCounter stat_frames_allocated_{stats_, "host.frames_allocated"};
+    LazyCounter stat_frames_freed_{stats_, "host.frames_freed"};
+    LazyCounter stat_mappings_added_{stats_, "host.mappings_added"};
+    // Registered at construction so they appear even when the sample
+    // never misses.
+    LazyCounter stat_fallback_sweeps_{stats_,
+                                      "host.victim_fallback_sweeps"};
+    LazyCounter stat_shard_clock_sweeps_{stats_,
+                                         "host.shard_clock_sweeps"};
 };
 
 } // namespace jtps::mem
